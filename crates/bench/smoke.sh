@@ -67,7 +67,8 @@ require_full_suite() {
 # oracle, from_matrix ≡ TransferMatrix bit-identity on fed3_migrate_pcaps,
 # drain-then-move replay determinism); tests/scheduler_state.rs pins the
 # incremental probabilistic-scheduler state (DecimaLike's version-stamped
-# score table and cached jobs-with-work count) bit for bit against
+# per-job score and softmax blocks, cached jobs-with-work count, and the
+# fused sample-and-importance path PCAPS uses) bit for bit against
 # from-scratch oracles across arrivals, completions, serve-mode compaction
 # and migration.
 require_full_suite migration "migration conformance suite"
@@ -77,6 +78,12 @@ require_full_suite steady_state "steady-state serving suite"
 require_full_suite parallel "execution-mode determinism suite"
 require_full_suite network "network-topology conformance suite"
 require_full_suite scheduler_state "incremental scheduler-state suite"
+
+# The repo benchmark (perfbench/, its own cargo package) times workloads
+# through wrappers around the public policy and intake traits; its tests
+# check that a wrapped run matches a bare run bit for bit, so a scheduler
+# change that breaks that parity fails here rather than in the benchmark.
+cargo test --release --manifest-path perfbench/Cargo.toml
 
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT

@@ -189,10 +189,19 @@
 //!   silently go stale.  Aggregates a policy needs every event (e.g. total
 //!   outstanding work) come from the engine's incrementally maintained
 //!   counters via [`SchedulingContext`] accessors rather than per-event
-//!   folds over the job table.  `tests/scheduler_state.rs` pins the
-//!   reference implementation (`DecimaLike`'s version-stamped table) against
-//!   from-scratch oracles across arrivals, completions, serve-mode
-//!   compaction and migration.
+//!   folds over the job table.  Derived values that depend on a global
+//!   quantity are keyed by that quantity's bits as well: `DecimaLike`
+//!   keeps each job's scores and softmax `exp` terms in a per-job block,
+//!   rescores a block only when the job's version or the max-remaining
+//!   normaliser's bits change, and recomputes its `exp` terms only when
+//!   its scores or the global max score's bits change.  Order-free folds
+//!   (`max` over finite values) may be assembled from per-block partials;
+//!   order-sensitive ones (the softmax sum) stay one in-order pass, so
+//!   results are bit-identical to a from-scratch computation.
+//!   `tests/scheduler_state.rs` pins the reference implementation
+//!   (`DecimaLike`'s version-stamped table and its fused
+//!   sample-and-importance path) against from-scratch oracles across
+//!   arrivals, completions, serve-mode compaction and migration.
 //! * **O(1) carbon bounds.**  Per-event `CarbonView`s (for scheduling and
 //!   routing alike) are served by each trace's sparse-table index; linear
 //!   walks over the forecast horizon belong in trace construction, never in

@@ -22,23 +22,33 @@ pub fn relative_importance(distribution: &[StageProbability], index: usize) -> f
         !distribution.is_empty(),
         "relative importance is undefined for an empty distribution"
     );
-    let max = distribution
+    ratio_to_max(distribution[index].probability, max_probability(distribution))
+}
+
+/// Relative importances of every entry in the distribution, in order.
+/// O(n): the max is folded once.
+pub fn relative_importances(distribution: &[StageProbability]) -> Vec<f64> {
+    let max = max_probability(distribution);
+    distribution
+        .iter()
+        .map(|d| ratio_to_max(d.probability, max))
+        .collect()
+}
+
+fn max_probability(distribution: &[StageProbability]) -> f64 {
+    distribution
         .iter()
         .map(|d| d.probability)
-        .fold(f64::NEG_INFINITY, f64::max);
+        .fold(f64::NEG_INFINITY, f64::max)
+}
+
+fn ratio_to_max(probability: f64, max: f64) -> f64 {
     if max <= 0.0 {
         // Degenerate distribution (all zero mass): treat every task as
         // maximally important so nothing is ever starved by a broken policy.
         return 1.0;
     }
-    (distribution[index].probability / max).clamp(0.0, 1.0)
-}
-
-/// Relative importances of every entry in the distribution, in order.
-pub fn relative_importances(distribution: &[StageProbability]) -> Vec<f64> {
-    (0..distribution.len())
-        .map(|i| relative_importance(distribution, i))
-        .collect()
+    (probability / max).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]

@@ -19,10 +19,8 @@
 //! [`ProbabilisticScheduler`] (when wrapped by PCAPS).  DESIGN.md §1 records
 //! this substitution.
 
-use crate::probabilistic::{
-    sample_cdf, softmax_into, ProbabilisticScheduler, StageProbability,
-};
-use pcaps_cluster::{DecisionSink, SchedEvent, Scheduler, SchedulingContext};
+use crate::probabilistic::{ProbabilisticScheduler, SampledStage, StageProbability};
+use pcaps_cluster::{DecisionSink, JobView, SchedEvent, Scheduler, SchedulingContext};
 use pcaps_dag::{JobId, StageId};
 use rand::Rng;
 use rand::SeedableRng;
@@ -53,15 +51,25 @@ impl Default for DecimaWeights {
     }
 }
 
-/// One job's cached raw feature components, revalidated per event by the
+/// One job's cached state, revalidated per event by the
 /// [`JobProgress::version`] stamp: equal id + equal version means the job's
-/// observable progress has not changed since the block was computed, so the
-/// O(stages) `remaining_work` fold and the completion-fraction division are
-/// skipped.  The *final* score is not cacheable per job — the
-/// shortest-remaining-work feature depends on the event's global
-/// max-remaining normaliser — so the table holds raw components and the
-/// scoring pass combines them inline with the exact float operations (and
-/// order) of a from-scratch computation.
+/// observable progress (dispatchable set included) has not changed since
+/// the entry was computed.
+///
+/// The entry owns a block of `num_stages` slots in [`DecimaLike`]'s arena
+/// holding the job's dispatchable stages, their scores and their softmax
+/// `exp` terms.  The block is reused in two layers:
+///
+/// * its scores are recomputed only when the version changes or the
+///   event's max-remaining normaliser (which the shortest-remaining-work
+///   feature divides by) changes its bits;
+/// * its `exp((s − max)/T)` terms are recomputed only when the scores were
+///   or the global max score changes its bits.
+///
+/// Every clean block shares those two keys, so they are held once, in
+/// [`DecimaLike`].  A recomputed block is produced by the same float operations as a
+/// from-scratch pass, so reused and recomputed blocks are
+/// bit-indistinguishable.
 ///
 /// [`JobProgress::version`]: pcaps_dag::JobProgress::version
 #[derive(Debug, Clone, Copy)]
@@ -72,35 +80,73 @@ struct JobEntry {
     remaining: f64,
     /// Completed stages over total stages.
     completion: f64,
+    /// First arena slot of the job's block.
+    offset: usize,
+    /// Block size: the job's stage count (the most stages it can have
+    /// dispatchable at once).
+    cap: usize,
+    /// Dispatchable stages currently in the block.
+    len: usize,
+    /// Largest score in the block (`-∞` when empty).
+    max_score: f64,
+    /// Largest `exp` term in the block.
+    max_exp: f64,
+    /// The scores were recomputed since the `exp` terms were.
+    exps_stale: bool,
 }
+
+/// One dispatchable stage's slot in a job's block.
+#[derive(Debug, Clone, Copy)]
+struct PairSlot {
+    stage: StageId,
+    score: f64,
+    exp: f64,
+}
+
+const EMPTY_SLOT: PairSlot = PairSlot { stage: StageId(0), score: 0.0, exp: 0.0 };
 
 /// The Decima-like scheduler.
 ///
-/// Holds a persistent per-job score table plus reused score/probability
-/// buffers, so a steady-state scheduling event costs O(active jobs) pointer
-/// work + O(touched jobs × their stages) feature recomputation and performs
-/// no heap allocation.  Correctness never depends on the lossy-advisory
-/// `SchedEvent` stream: the table is reconciled against the authoritative
-/// `ctx.jobs()` iteration (arrival order) on every event, which absorbs
-/// arrivals, completions, serve-mode compaction's front retirement and
-/// slot-base shifts, and migration detach/reattach uniformly.
+/// Holds a persistent per-job table whose entries own blocks of a reused
+/// slot arena (see [`JobEntry`]), so a steady-state scheduling event costs
+/// O(active jobs) pointer work, one in-order sum over the dispatchable
+/// stages' `exp` terms, and feature/`exp` recomputation only for the
+/// blocks whose inputs changed — and performs no heap allocation.
+/// Correctness never depends on the lossy-advisory `SchedEvent` stream: the
+/// table is reconciled against the authoritative `ctx.jobs()` iteration
+/// (arrival order) on every event, which absorbs arrivals, completions,
+/// serve-mode compaction's front retirement and slot-base shifts, and
+/// migration detach/reattach uniformly.
 #[derive(Debug, Clone)]
 pub struct DecimaLike {
     weights: DecimaWeights,
     rng: ChaCha8Rng,
-    /// Cached per-job feature blocks, aligned with the previous event's
+    /// Cached per-job entries, aligned with the previous event's
     /// `ctx.jobs()` order.
     table: Vec<JobEntry>,
     /// Scratch for the table rebuild (swapped with `table` each event).
     scratch: Vec<JobEntry>,
-    /// `(job, stage)` of each dispatchable pair, aligned with `scores`.
-    pairs: Vec<(JobId, StageId)>,
-    /// Raw scores per dispatchable pair.
-    scores: Vec<f64>,
-    /// Softmax output per dispatchable pair.
-    probs: Vec<f64>,
-    /// Jobs with non-empty dispatchable sets, counted during the table
-    /// pass so the follow-up `parallelism_limit` call (same event, same
+    /// Block storage of every entry in `table`, plus dead blocks of
+    /// departed jobs until the next compaction.
+    slots: Vec<PairSlot>,
+    /// Scratch for arena compaction (swapped with `slots`).
+    scratch_slots: Vec<PairSlot>,
+    /// Arena slots held by departed jobs' blocks.
+    dead_slots: usize,
+    /// Table indices of the entries to rescore this event: new jobs and
+    /// jobs whose version changed.
+    dirty: Vec<usize>,
+    /// Bits of the normaliser every clean block was scored with.
+    normaliser_bits: u64,
+    /// Bits of the global max score every fresh `exp` term was computed
+    /// with.
+    max_score_bits: u64,
+    /// Softmax normaliser: the in-order sum of every `exp` term.
+    exp_sum: f64,
+    /// Largest `exp` term (for relative importance).
+    max_exp: f64,
+    /// Jobs with non-empty dispatchable sets, counted during the
+    /// distribution pass so the follow-up `parallelism_limit` call (same event, same
     /// context — see the trait contract) does not rescan.  `None` until
     /// the first distribution pass.
     jobs_with_work: Option<usize>,
@@ -114,45 +160,65 @@ impl DecimaLike {
     }
 
     /// Creates the scheduler with custom feature weights.
+    ///
+    /// # Panics
+    /// Panics if a weight is not finite or the temperature is not positive.
+    /// Finite weights keep the scores finite, which the incremental
+    /// softmax relies on: `max` is order-free and the largest probability
+    /// is exactly `max exp / sum` only for finite values.
     pub fn with_weights(seed: u64, weights: DecimaWeights) -> Self {
         assert!(weights.temperature > 0.0, "softmax temperature must be positive");
+        assert!(
+            [weights.short_job, weights.bottleneck, weights.completion, weights.temperature]
+                .iter()
+                .all(|w| w.is_finite()),
+            "Decima feature weights must be finite"
+        );
         DecimaLike {
             weights,
             rng: ChaCha8Rng::seed_from_u64(seed),
             table: Vec::new(),
             scratch: Vec::new(),
-            pairs: Vec::new(),
-            scores: Vec::new(),
-            probs: Vec::new(),
+            slots: Vec::new(),
+            scratch_slots: Vec::new(),
+            dead_slots: 0,
+            dirty: Vec::new(),
+            // NaN patterns: no real normaliser or max score has these bits.
+            normaliser_bits: u64::MAX,
+            max_score_bits: u64::MAX,
+            exp_sum: 0.0,
+            max_exp: 0.0,
             jobs_with_work: None,
         }
     }
 
-    /// Reconciles the score table with the current context and returns the
+    /// Reconciles the table with the current context and returns the
     /// event's max-remaining normaliser.
     ///
     /// Both the cached table and `ctx.jobs()` list jobs in arrival order,
     /// and every membership change preserves the relative order of
     /// survivors (completions and migration departures remove in place,
     /// compaction retires off the front, arrivals and migrant reattachments
-    /// append) — so one ordered sweep relocates every surviving block.  A
-    /// cached id missing from the context (O(1) slot probe) was removed; a
-    /// context id missing from the cache (or present with a different
-    /// [`JobProgress::version`]) recomputes its block.  Per event this is
-    /// O(jobs) pointer work + O(changed jobs × their stages) feature
-    /// recomputation; a recomputed block is produced by the identical calls
-    /// a from-scratch pass would make, so cache hits and misses are
-    /// bit-indistinguishable.
+    /// append) — so one ordered sweep relocates every surviving entry.  A
+    /// cached id missing from the context (O(1) slot probe) was removed and
+    /// its block becomes dead; a context id missing from the cache gets a
+    /// fresh block at the arena's end; a cached id with a different
+    /// [`JobProgress::version`] keeps its block but recomputes its feature
+    /// components.  Both kinds are listed in `dirty` for rescoring.  Per
+    /// event this is O(jobs) pointer work + O(changed jobs × their stages)
+    /// feature recomputation.  The arena is compacted once dead slots
+    /// outnumber live ones.
     ///
-    /// The max-remaining fold and the jobs-with-work count ride along in
-    /// the same sweep (the fold is `f64::max` over the same values in the
-    /// same order as a from-scratch scan, hence bit-identical).
+    /// The max-remaining fold rides along in the same sweep (`f64::max`
+    /// over the same values in the same order as a from-scratch scan, hence
+    /// bit-identical).
     ///
     /// [`JobProgress::version`]: pcaps_dag::JobProgress::version
     fn refresh_table(&mut self, ctx: &SchedulingContext<'_>) -> f64 {
         self.scratch.clear();
+        self.dirty.clear();
         let mut max_remaining = 0.0_f64;
-        let mut jobs_with_work = 0usize;
+        let mut live_slots = 0usize;
         let mut cursor = 0usize;
         for job in ctx.jobs() {
             let version = job.progress.version();
@@ -161,68 +227,156 @@ impl DecimaLike {
                 let entry = self.table[cursor];
                 if entry.id == job.id {
                     cursor += 1;
-                    if entry.version == version {
-                        cached = Some(entry);
-                    }
+                    cached = Some(entry);
                     break;
                 }
                 // Order mismatch: either the cached job left this member
-                // (skip its block) or `job` was inserted ahead of it (a
-                // reattached migrant — stop and recompute).  The slot
-                // table answers membership in O(1).
+                // (its block dies) or `job` was inserted ahead of it (a
+                // reattached migrant — stop and give it a fresh block).
+                // The slot table answers membership in O(1).
                 if ctx.job(entry.id).is_some() {
                     break;
                 }
+                self.dead_slots += entry.cap;
                 cursor += 1;
             }
-            let entry = cached.unwrap_or_else(|| JobEntry {
-                id: job.id,
-                version,
-                remaining: job.remaining_work(),
-                completion: job.progress.frontier().num_completed() as f64
-                    / job.dag.num_stages() as f64,
-            });
+            let entry = match cached {
+                Some(entry) if entry.version == version => entry,
+                stale => {
+                    self.dirty.push(self.scratch.len());
+                    let (offset, cap) = stale.map_or_else(
+                        || {
+                            let cap = job.dag.num_stages();
+                            let offset = self.slots.len();
+                            self.slots.resize(offset + cap, EMPTY_SLOT);
+                            (offset, cap)
+                        },
+                        |e| (e.offset, e.cap),
+                    );
+                    JobEntry {
+                        id: job.id,
+                        version,
+                        remaining: job.remaining_work(),
+                        completion: job.progress.frontier().num_completed() as f64
+                            / job.dag.num_stages() as f64,
+                        offset,
+                        cap,
+                        len: 0,
+                        max_score: f64::NEG_INFINITY,
+                        max_exp: 0.0,
+                        exps_stale: true,
+                    }
+                }
+            };
             max_remaining = f64::max(max_remaining, entry.remaining);
-            if !job.dispatchable_stages().is_empty() {
-                jobs_with_work += 1;
-            }
+            live_slots += entry.cap;
             self.scratch.push(entry);
         }
+        // Cached jobs past the last match left this member.
+        self.dead_slots += self.table[cursor..].iter().map(|e| e.cap).sum::<usize>();
         std::mem::swap(&mut self.table, &mut self.scratch);
-        self.jobs_with_work = Some(jobs_with_work);
+        if self.dead_slots > live_slots {
+            self.compact_slots();
+        }
         max_remaining.max(1e-9)
     }
 
-    /// Computes the distribution into the reused `pairs`/`scores`/`probs`
-    /// buffers: table reconciliation (which also yields the normaliser and
-    /// the jobs-with-work count), one scoring pass over the dispatchable
-    /// stages, then an in-place softmax.  Same float operations in the same
-    /// order as a from-scratch rebuild — probabilities are bit-identical.
+    /// Copies every live block, in table order, into the scratch arena and
+    /// swaps it in.
+    fn compact_slots(&mut self) {
+        self.scratch_slots.clear();
+        for entry in &mut self.table {
+            let offset = self.scratch_slots.len();
+            self.scratch_slots
+                .extend_from_slice(&self.slots[entry.offset..entry.offset + entry.cap]);
+            entry.offset = offset;
+        }
+        std::mem::swap(&mut self.slots, &mut self.scratch_slots);
+        self.dead_slots = 0;
+    }
+
+    /// Brings the distribution up to date: table reconciliation (which
+    /// also yields the normaliser and the dirty list), rescoring of the
+    /// dirty blocks — or of every block if the normaliser's bits changed —
+    /// a fold of the global max score over the block maxima (`f64::max` is
+    /// order-free on finite values), then an `exp` pass that refreshes
+    /// only stale blocks and sums every term in one in-order pass, as the
+    /// reference softmax does.  The probabilities `exp / exp_sum` are
+    /// therefore bit-identical to a from-scratch rebuild; they are divided
+    /// out only where read.
     fn compute(&mut self, ctx: &SchedulingContext<'_>) {
         let max_remaining = self.refresh_table(ctx);
-        let DecimaLike { weights, table, pairs, scores, .. } = self;
-        pairs.clear();
-        scores.clear();
-        for (entry, job) in table.iter().zip(ctx.jobs()) {
-            let dispatchable = job.dispatchable_stages();
-            if dispatchable.is_empty() {
-                continue;
-            }
-            // Feature 1: jobs with little remaining work score high.
-            let short_job_feature = 1.0 - (entry.remaining / max_remaining);
-            // Per-stage features from the DAG structure — cached on the
-            // (shared) DAG, so the graph analysis runs once per job instead
-            // of once per scheduling event.
-            let bottleneck = job.dag.bottleneck_scores();
-            for &stage in dispatchable {
-                let score = weights.short_job * short_job_feature
-                    + weights.bottleneck * bottleneck[stage.index()]
-                    + weights.completion * entry.completion;
-                pairs.push((job.id, stage));
-                scores.push(score);
-            }
+        let DecimaLike { weights, table, slots, dirty, .. } = self;
+
+        if max_remaining.to_bits() != self.normaliser_bits {
+            self.normaliser_bits = max_remaining.to_bits();
+            dirty.clear();
+            dirty.extend(0..table.len());
         }
-        softmax_into(&self.scores, self.weights.temperature, &mut self.probs);
+        for &i in dirty.iter() {
+            rescore(weights, &mut table[i], ctx.job_at(i), slots, max_remaining);
+        }
+        let mut max_score = f64::NEG_INFINITY;
+        let mut jobs_with_work = 0usize;
+        for entry in table.iter() {
+            max_score = f64::max(max_score, entry.max_score);
+            jobs_with_work += usize::from(entry.len > 0);
+        }
+
+        let max_changed = max_score.to_bits() != self.max_score_bits;
+        self.max_score_bits = max_score.to_bits();
+        let temperature = weights.temperature;
+        let mut sum = 0.0_f64;
+        let mut max_exp = 0.0_f64;
+        for entry in table.iter_mut().filter(|e| e.len > 0) {
+            let block = &mut slots[entry.offset..entry.offset + entry.len];
+            if entry.exps_stale || max_changed {
+                let mut block_max = 0.0_f64;
+                for slot in block.iter_mut() {
+                    slot.exp = ((slot.score - max_score) / temperature).exp();
+                    block_max = f64::max(block_max, slot.exp);
+                }
+                entry.max_exp = block_max;
+                entry.exps_stale = false;
+            }
+            for slot in block.iter() {
+                sum += slot.exp;
+            }
+            max_exp = f64::max(max_exp, entry.max_exp);
+        }
+        self.exp_sum = sum;
+        self.max_exp = max_exp;
+        self.jobs_with_work = Some(jobs_with_work);
+    }
+
+    /// Every dispatchable pair with its `exp` term, in distribution order.
+    fn pairs(&self) -> impl Iterator<Item = (JobId, &PairSlot)> + '_ {
+        self.table.iter().flat_map(|entry| {
+            self.slots[entry.offset..entry.offset + entry.len]
+                .iter()
+                .map(move |slot| (entry.id, slot))
+        })
+    }
+
+    /// Walks the CDF of the current distribution and returns the first pair
+    /// whose cumulative probability reaches `r` (the last pair if rounding
+    /// leaves the total short of `r`), with its probability.  Only the
+    /// walked prefix is divided by the normaliser; the running sum adds the
+    /// same probabilities in the same order as the reference walk over
+    /// [`ProbabilisticScheduler::distribution_into`].  Requires
+    /// dispatchable work.
+    fn sample_pair(&self, r: f64) -> (JobId, StageId, f64) {
+        let mut acc = 0.0;
+        let mut last = None;
+        for (job, slot) in self.pairs() {
+            let p = slot.exp / self.exp_sum;
+            acc += p;
+            if r <= acc {
+                return (job, slot.stage, p);
+            }
+            last = Some((job, slot.stage, p));
+        }
+        last.expect("sample_pair requires dispatchable work")
     }
 
     /// Decima-style parallelism limit: the job's fair share of the cluster
@@ -249,6 +403,38 @@ impl DecimaLike {
     }
 }
 
+/// Recomputes one job's block: its dispatchable stages and their scores
+/// under the given normaliser, with the exact float operations (and order)
+/// of a from-scratch pass.
+fn rescore(
+    weights: &DecimaWeights,
+    entry: &mut JobEntry,
+    job: JobView<'_>,
+    slots: &mut [PairSlot],
+    max_remaining: f64,
+) {
+    let dispatchable = job.dispatchable_stages();
+    // Feature 1: jobs with little remaining work score high.
+    let short_job_feature = 1.0 - (entry.remaining / max_remaining);
+    // Per-stage features from the DAG structure — cached on the (shared)
+    // DAG, so the graph analysis runs once per job instead of once per
+    // scheduling event.
+    let bottleneck = job.dag.bottleneck_scores();
+    let block = &mut slots[entry.offset..entry.offset + dispatchable.len()];
+    let mut block_max = f64::NEG_INFINITY;
+    for (slot, &stage) in block.iter_mut().zip(dispatchable) {
+        let score = weights.short_job * short_job_feature
+            + weights.bottleneck * bottleneck[stage.index()]
+            + weights.completion * entry.completion;
+        slot.stage = stage;
+        slot.score = score;
+        block_max = f64::max(block_max, score);
+    }
+    entry.len = dispatchable.len();
+    entry.max_score = block_max;
+    entry.exps_stale = true;
+}
+
 impl ProbabilisticScheduler for DecimaLike {
     fn name(&self) -> &str {
         "decima"
@@ -257,16 +443,33 @@ impl ProbabilisticScheduler for DecimaLike {
     fn distribution_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<StageProbability>) {
         self.compute(ctx);
         out.clear();
-        out.extend(
-            self.pairs
-                .iter()
-                .zip(self.probs.iter())
-                .map(|(&(job, stage), &probability)| StageProbability { job, stage, probability }),
-        );
+        out.extend(self.pairs().map(|(job, slot)| StageProbability {
+            job,
+            stage: slot.stage,
+            probability: slot.exp / self.exp_sum,
+        }));
     }
 
     fn parallelism_limit(&self, ctx: &SchedulingContext<'_>, job: JobId, stage: StageId) -> usize {
         self.limit_for(ctx, job, stage)
+    }
+
+    fn sample_with_importance(
+        &mut self,
+        ctx: &SchedulingContext<'_>,
+        draw: &mut dyn FnMut() -> f64,
+    ) -> Option<SampledStage> {
+        self.compute(ctx);
+        if self.jobs_with_work == Some(0) {
+            return None;
+        }
+        let (job, stage, p) = self.sample_pair(draw());
+        // Division by the positive sum is monotone, so the largest
+        // probability is exactly `max_exp / exp_sum` — the value the
+        // reference fold over the materialised distribution finds.
+        let max_p = self.max_exp / self.exp_sum;
+        let importance = if max_p <= 0.0 { 1.0 } else { (p / max_p).clamp(0.0, 1.0) };
+        Some(SampledStage { job, stage, importance })
     }
 }
 
@@ -282,15 +485,13 @@ impl Scheduler for DecimaLike {
         out: &mut DecisionSink,
     ) {
         self.compute(ctx);
-        if self.probs.is_empty() {
+        if self.jobs_with_work == Some(0) {
             return;
         }
-        // Sample directly from the reused pair/probability buffers — the
-        // standalone path never materialises `StageProbability` entries.
+        // `r` is drawn only once work is known to exist, preserving the RNG
+        // stream of the historical inline sampler.
         let r: f64 = self.rng.gen_range(0.0..1.0);
-        let idx = sample_cdf(self.probs.iter().copied(), r)
-            .expect("probs checked non-empty above");
-        let (job, stage) = self.pairs[idx];
+        let (job, stage, _) = self.sample_pair(r);
         let limit = self.limit_for(ctx, job, stage);
         out.dispatch(job, stage, limit);
     }
@@ -466,6 +667,15 @@ mod tests {
         let _ = DecimaLike::with_weights(
             0,
             DecimaWeights { temperature: 0.0, ..DecimaWeights::default() },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn rejects_non_finite_weights() {
+        let _ = DecimaLike::with_weights(
+            0,
+            DecimaWeights { bottleneck: f64::NAN, ..DecimaWeights::default() },
         );
     }
 }

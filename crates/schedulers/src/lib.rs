@@ -44,7 +44,7 @@ pub mod weighted_fair;
 pub use decima::{DecimaLike, DecimaWeights};
 pub use fifo::{KubeDefaultFifo, SparkStandaloneFifo};
 pub use greenhadoop::GreenHadoop;
-pub use probabilistic::{ProbabilisticScheduler, StageProbability};
+pub use probabilistic::{ProbabilisticScheduler, SampledStage, StageProbability};
 pub use routing::{
     CarbonDeltaMigrator, CarbonGreedyRouter, CarbonQueueAwareRouter, LeastOutstandingWorkRouter,
     RoundRobinRouter,

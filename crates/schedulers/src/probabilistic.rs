@@ -3,9 +3,13 @@
 //! A probabilistic scheduler produces, at every scheduling event, a
 //! probability distribution over the set `A_t` of stages that are ready to
 //! execute.  Decima does this by applying a masked softmax to learned
-//! per-stage scores; PCAPS (in `pcaps-core`) consumes the distribution to
-//! compute each stage's *relative importance* (Definition 4.2) and applies
-//! its carbon-awareness filter on top.
+//! per-stage scores; PCAPS (in `pcaps-core`) samples a stage from the
+//! distribution, takes its *relative importance* (Definition 4.2) and
+//! applies its carbon-awareness filter on top.  The hot path asks for the
+//! sample and its importance together
+//! ([`ProbabilisticScheduler::sample_with_importance`]); the full
+//! distribution ([`ProbabilisticScheduler::distribution_into`]) is the
+//! reference form that tests and analyses read.
 
 use pcaps_cluster::SchedulingContext;
 use pcaps_dag::{JobId, StageId};
@@ -64,56 +68,58 @@ pub trait ProbabilisticScheduler: Send {
     /// cached by the distribution pass (and must fall back to the context
     /// when no such state exists yet).
     fn parallelism_limit(&self, ctx: &SchedulingContext<'_>, job: JobId, stage: StageId) -> usize;
+
+    /// Samples one stage from the distribution and returns it with its
+    /// relative importance (Definition 4.2) — PCAPS Algorithm 1 lines 5–6
+    /// in one pass, without materialising the distribution.
+    ///
+    /// `draw` yields the uniform `r ∈ [0, 1)`; it is called exactly once,
+    /// and only when there is dispatchable work (`None` otherwise), so the
+    /// caller's RNG stream does not depend on how the policy stores its
+    /// distribution.  The result must equal, bit for bit, the reference
+    /// path: [`ProbabilisticScheduler::distribution_into`], then the CDF
+    /// walk (the first entry whose running sum of probabilities reaches
+    /// `r`, or the last entry if rounding leaves the total short of `r`),
+    /// then `p / max p` clamped to `[0, 1]` (`1.0` if `max p ≤ 0`).
+    /// `tests/scheduler_state.rs` pins that equivalence.
+    ///
+    /// Like [`ProbabilisticScheduler::distribution_into`], a call may be
+    /// followed by [`ProbabilisticScheduler::parallelism_limit`] within the
+    /// same scheduling event.
+    fn sample_with_importance(
+        &mut self,
+        ctx: &SchedulingContext<'_>,
+        draw: &mut dyn FnMut() -> f64,
+    ) -> Option<SampledStage>;
+}
+
+/// A stage drawn by [`ProbabilisticScheduler::sample_with_importance`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SampledStage {
+    /// The job the stage belongs to.
+    pub job: JobId,
+    /// The sampled stage.
+    pub stage: StageId,
+    /// Its relative importance `p_{v,t} / max_u p_{u,t}` ∈ [0, 1].
+    pub importance: f64,
 }
 
 /// Normalises a list of non-negative scores into a probability distribution
 /// using a softmax with the given temperature.  Returns an empty vector for
-/// empty input.
+/// empty input.  This is the reference form of the softmax [`DecimaLike`]
+/// maintains incrementally: same operations in the same order (max fold,
+/// `exp((s − max)/T)`, one in-order sum, one division per entry).
+///
+/// [`DecimaLike`]: crate::DecimaLike
 pub fn softmax(scores: &[f64], temperature: f64) -> Vec<f64> {
-    let mut out = Vec::new();
-    softmax_into(scores, temperature, &mut out);
-    out
-}
-
-/// In-place form of [`softmax`]: writes the probabilities into `out`
-/// (cleared first), allocating nothing once `out` has warmed to the score
-/// count.  Bit-identical to [`softmax`] — same operations in the same
-/// order.
-pub fn softmax_into(scores: &[f64], temperature: f64, out: &mut Vec<f64>) {
     assert!(temperature > 0.0, "softmax temperature must be positive");
-    out.clear();
-    if scores.is_empty() {
-        return;
-    }
     let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    out.extend(scores.iter().map(|s| ((s - max) / temperature).exp()));
+    let mut out: Vec<f64> = scores.iter().map(|s| ((s - max) / temperature).exp()).collect();
     let sum: f64 = out.iter().sum();
     for e in out.iter_mut() {
         *e /= sum;
     }
-}
-
-/// Walks the CDF of a probability sequence and returns the index at which
-/// the cumulative mass first reaches `r` — the shared sampling step of
-/// [`DecimaLike::on_event`] and PCAPS Algorithm 1 line 5 (one
-/// implementation so the two stay bit-identical: same additions in the same
-/// order, same `r <= acc` comparison, same final-index fallback for
-/// `r ≈ 1` under floating-point rounding).  Returns `None` only for an
-/// empty sequence; callers draw `r` *after* ruling that out so RNG streams
-/// are unchanged.
-///
-/// [`DecimaLike::on_event`]: crate::DecimaLike
-pub fn sample_cdf(probs: impl IntoIterator<Item = f64>, r: f64) -> Option<usize> {
-    let mut acc = 0.0;
-    let mut last = None;
-    for (i, p) in probs.into_iter().enumerate() {
-        acc += p;
-        if r <= acc {
-            return Some(i);
-        }
-        last = Some(i);
-    }
-    last
+    out
 }
 
 /// Checks that a distribution is valid: non-empty probabilities that are

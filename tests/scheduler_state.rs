@@ -10,14 +10,22 @@
 //! the fair-share parallelism limit from scratch at every invocation and
 //! compare probabilities bit for bit, so any staleness bug in the table —
 //! a missed version bump, a block survived past a membership change, a
-//! float op reordered — fails loudly with the event time attached.
+//! float op reordered — fails loudly with the event time attached.  The
+//! PCAPS route also pins the fused sample-and-importance path against the
+//! reference `distribution_into` → CDF walk → `relative_importance` for
+//! the same draw.  Every scenario runs with the default weights; one extra
+//! test reruns them at a non-default temperature, so block reuse is also
+//! checked with T ≠ 1.
 //!
 //! Pattern of `tests/properties.rs`: seeded ChaCha8-driven cases, no
 //! external proptest dependency, every failure reproducible.
 
 use carbon_aware_dag_sched::prelude::*;
 use pcaps_dag::JobId;
-use pcaps_schedulers::probabilistic::{softmax, ProbabilisticScheduler, StageProbability};
+use pcaps_core::relative_importance;
+use pcaps_schedulers::probabilistic::{
+    softmax, ProbabilisticScheduler, SampledStage, StageProbability,
+};
 use pcaps_schedulers::DecimaWeights;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -83,9 +91,10 @@ fn oracle_limit(ctx: &SchedulingContext<'_>, job: JobId, stage: StageId) -> usiz
 fn assert_matches_oracle(
     got: &[StageProbability],
     ctx: &SchedulingContext<'_>,
+    weights: DecimaWeights,
     label: &str,
 ) {
-    let oracle = oracle_distribution(ctx, DecimaWeights::default());
+    let oracle = oracle_distribution(ctx, weights);
     assert_eq!(
         got.len(),
         oracle.len(),
@@ -117,12 +126,13 @@ fn assert_matches_oracle(
 /// the from-scratch oracles before delegating the real decision.
 struct CheckingDecima {
     inner: DecimaLike,
+    weights: DecimaWeights,
     checks: usize,
 }
 
 impl CheckingDecima {
-    fn new(seed: u64) -> Self {
-        CheckingDecima { inner: DecimaLike::new(seed), checks: 0 }
+    fn new(seed: u64, weights: DecimaWeights) -> Self {
+        CheckingDecima { inner: DecimaLike::with_weights(seed, weights), weights, checks: 0 }
     }
 }
 
@@ -139,7 +149,7 @@ impl Scheduler for CheckingDecima {
     ) {
         let mut dist = Vec::new();
         self.inner.distribution_into(ctx, &mut dist);
-        assert_matches_oracle(&dist, ctx, "standalone");
+        assert_matches_oracle(&dist, ctx, self.weights, "standalone");
         for entry in &dist {
             assert_eq!(
                 self.inner.parallelism_limit(ctx, entry.job, entry.stage),
@@ -155,13 +165,35 @@ impl Scheduler for CheckingDecima {
     }
 }
 
-/// The same cross-check through the PCAPS wrapping path: PCAPS pulls the
-/// distribution through `distribution_into` into its reused buffer, so the
-/// probabilistic-trait route (including the carbon filter's throttled
-/// re-invocations) is exercised too.
+/// The reference CDF walk: the first entry whose running sum of
+/// probabilities reaches `r`, or the last entry if rounding leaves the
+/// total short of `r`.
+fn reference_sample(dist: &[StageProbability], r: f64) -> usize {
+    let mut acc = 0.0;
+    for (i, entry) in dist.iter().enumerate() {
+        acc += entry.probability;
+        if r <= acc {
+            return i;
+        }
+    }
+    dist.len() - 1
+}
+
+/// The same cross-check through the PCAPS wrapping path: PCAPS samples
+/// through `sample_with_importance`, so the probabilistic-trait route
+/// (including the carbon filter's throttled re-invocations) is exercised
+/// too.  Each fused sample is checked against the reference path for the
+/// same draw, and the distribution left behind against the oracle.
 struct CheckingProbabilistic {
     inner: DecimaLike,
+    weights: DecimaWeights,
     checks: usize,
+}
+
+impl CheckingProbabilistic {
+    fn new(seed: u64, weights: DecimaWeights) -> Self {
+        CheckingProbabilistic { inner: DecimaLike::with_weights(seed, weights), weights, checks: 0 }
+    }
 }
 
 impl ProbabilisticScheduler for CheckingProbabilistic {
@@ -175,8 +207,7 @@ impl ProbabilisticScheduler for CheckingProbabilistic {
         out: &mut Vec<StageProbability>,
     ) {
         self.inner.distribution_into(ctx, out);
-        assert_matches_oracle(out, ctx, "pcaps-wrapped");
-        self.checks += 1;
+        assert_matches_oracle(out, ctx, self.weights, "pcaps-wrapped");
     }
 
     fn parallelism_limit(&self, ctx: &SchedulingContext<'_>, job: JobId, stage: StageId) -> usize {
@@ -187,6 +218,47 @@ impl ProbabilisticScheduler for CheckingProbabilistic {
             "pcaps-wrapped: cached jobs-with-work limit diverged at t={}",
             ctx.time
         );
+        got
+    }
+
+    fn sample_with_importance(
+        &mut self,
+        ctx: &SchedulingContext<'_>,
+        draw: &mut dyn FnMut() -> f64,
+    ) -> Option<SampledStage> {
+        let mut drawn = None;
+        let got = self.inner.sample_with_importance(ctx, &mut || {
+            assert!(drawn.is_none(), "fused path drew twice at t={}", ctx.time);
+            let r = draw();
+            drawn = Some(r);
+            r
+        });
+        let mut dist = Vec::new();
+        self.distribution_into(ctx, &mut dist);
+        let Some(sample) = got else {
+            assert!(drawn.is_none(), "fused path drew without work at t={}", ctx.time);
+            assert!(dist.is_empty(), "fused path found no work at t={}", ctx.time);
+            return None;
+        };
+        let r = drawn.expect("fused path sampled without drawing");
+        let idx = reference_sample(&dist, r);
+        assert_eq!(
+            (sample.job, sample.stage),
+            (dist[idx].job, dist[idx].stage),
+            "fused sample diverged from the reference CDF walk at t={} (r={r})",
+            ctx.time
+        );
+        let importance = relative_importance(&dist, idx);
+        assert!(
+            sample.importance.to_bits() == importance.to_bits(),
+            "fused importance of ({}, {}) diverged at t={}: {} vs {}",
+            sample.job,
+            sample.stage,
+            ctx.time,
+            sample.importance,
+            importance
+        );
+        self.checks += 1;
         got
     }
 }
@@ -221,6 +293,10 @@ fn random_dag(rng: &mut ChaCha8Rng) -> JobDag {
 /// both a flat and a volatile trace.
 #[test]
 fn incremental_scores_match_scratch_on_single_cluster_runs() {
+    check_single_cluster_runs(DecimaWeights::default());
+}
+
+fn check_single_cluster_runs(weights: DecimaWeights) {
     for seed in [1u64, 5, 11] {
         let workload: Vec<SubmittedJob> = WorkloadBuilder::new(WorkloadKind::TpchMixed, seed)
             .jobs(12)
@@ -235,7 +311,7 @@ fn incremental_scores_match_scratch_on_single_cluster_runs() {
             workload,
             trace,
         );
-        let mut checker = CheckingDecima::new(seed);
+        let mut checker = CheckingDecima::new(seed, weights);
         let result = sim.run(&mut checker).expect("run completes");
         assert!(result.all_jobs_complete(), "seed {seed}");
         assert!(
@@ -247,10 +323,14 @@ fn incremental_scores_match_scratch_on_single_cluster_runs() {
 }
 
 /// The PCAPS route on a volatile trace (real deferrals + throttled
-/// same-instant re-invocations) must pull bit-identical distributions
-/// through the reused buffer.
+/// same-instant re-invocations) must sample bit-identically to the
+/// reference path and leave bit-identical distributions behind.
 #[test]
 fn incremental_scores_match_scratch_through_pcaps() {
+    check_through_pcaps(DecimaWeights::default());
+}
+
+fn check_through_pcaps(weights: DecimaWeights) {
     let mut values = Vec::new();
     for i in 0..2000 {
         values.push(if i % 24 < 12 { 800.0 } else { 50.0 });
@@ -264,7 +344,7 @@ fn incremental_scores_match_scratch_through_pcaps() {
         .collect();
     let sim = Simulator::new(ClusterConfig::new(20).with_time_scale(60.0), workload, trace);
     let mut pcaps = Pcaps::new(
-        CheckingProbabilistic { inner: DecimaLike::new(1), checks: 0 },
+        CheckingProbabilistic::new(1, weights),
         PcapsConfig::with_gamma(0.9),
     );
     let result = sim.run(&mut pcaps).expect("run completes");
@@ -315,6 +395,10 @@ impl ArrivalSource for Trickle {
 /// match the oracle bit for bit.
 #[test]
 fn incremental_scores_match_scratch_across_serve_compaction() {
+    check_serve_compaction(DecimaWeights::default());
+}
+
+fn check_serve_compaction(weights: DecimaWeights) {
     let trace = CarbonTrace::constant("flat", 300.0, 26_304);
     let sim = Simulator::streaming(ClusterConfig::new(4).with_time_scale(1.0), trace);
     let mut source = Trickle {
@@ -324,7 +408,7 @@ fn incremental_scores_match_scratch_across_serve_compaction() {
         rng: ChaCha8Rng::seed_from_u64(0x5EED),
     };
     let mut session = sim.serve(&mut source).unwrap();
-    let mut checker = CheckingDecima::new(3);
+    let mut checker = CheckingDecima::new(3, weights);
     let mut router = StaticRouter::new(0);
     for w in 1..=24 {
         let mut s: [&mut dyn Scheduler; 1] = [&mut checker];
@@ -385,6 +469,10 @@ impl MigrationPolicy for RandomMover {
 /// resurrect a stale cached block on either side.
 #[test]
 fn incremental_scores_match_scratch_across_migrations() {
+    check_migrations(DecimaWeights::default());
+}
+
+fn check_migrations(weights: DecimaWeights) {
     let mut rng = ChaCha8Rng::seed_from_u64(0x919);
     let mut total_moves = 0usize;
     for case in 0..8u64 {
@@ -411,7 +499,7 @@ fn incremental_scores_match_scratch_across_migrations() {
             moves: 0,
         };
         let mut schedulers: Vec<CheckingDecima> =
-            (0..members).map(|m| CheckingDecima::new(case * 31 + m as u64)).collect();
+            (0..members).map(|m| CheckingDecima::new(case * 31 + m as u64, weights)).collect();
         let result = {
             let mut refs: Vec<&mut dyn Scheduler> = Vec::new();
             for s in schedulers.iter_mut() {
@@ -433,4 +521,16 @@ fn incremental_scores_match_scratch_across_migrations() {
         total_moves > 0,
         "across all cases some migrations must apply, or detach/reattach is never exercised"
     );
+}
+
+/// Every scenario above again at a non-default temperature: T ≠ 1 makes
+/// `(s − max)/T` a real division, so a block whose `exp` terms were reused
+/// under the wrong max or temperature would show.
+#[test]
+fn incremental_scores_match_scratch_at_low_temperature() {
+    let weights = DecimaWeights { temperature: 0.25, ..DecimaWeights::default() };
+    check_single_cluster_runs(weights);
+    check_through_pcaps(weights);
+    check_serve_compaction(weights);
+    check_migrations(weights);
 }
