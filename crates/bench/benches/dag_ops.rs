@@ -1,9 +1,11 @@
-//! DAG analysis microbenchmarks: the graph quantities recomputed inside the
-//! Decima-like scorer at every scheduling event.
+//! DAG microbenchmarks: the graph quantities the Decima-like scorer
+//! derives from a job, and the cost of generating jobs, both on their own
+//! and as one pull of a streamed workload (generate, scale, rename), the
+//! call the engine makes for every arriving job.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pcaps_dag::analysis;
-use pcaps_workloads::{AlibabaGenerator, TpchQuery, TpchScale};
+use pcaps_workloads::{AlibabaGenerator, TpchQuery, TpchScale, WorkloadBuilder, WorkloadKind};
 
 fn dag_analysis(c: &mut Criterion) {
     let mut group = c.benchmark_group("dag_analysis");
@@ -34,6 +36,15 @@ fn workload_generation(c: &mut Criterion) {
         let mut gen = AlibabaGenerator::new(11);
         b.iter(|| criterion::black_box(gen.next_job()))
     });
+    for (label, kind) in [
+        ("alibaba_stream_pull", WorkloadKind::Alibaba),
+        ("tpch_stream_pull", WorkloadKind::TpchMixed),
+    ] {
+        group.bench_function(label, |b| {
+            let mut stream = WorkloadBuilder::new(kind, 11).jobs(usize::MAX).stream();
+            b.iter(|| criterion::black_box(stream.next()))
+        });
+    }
     group.finish();
 }
 

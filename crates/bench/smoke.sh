@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Bench smoke run: verifies the workspace (tier-1 build + tests), then
 # executes the two end-to-end benchmarks (`simulator_throughput` and
-# `scheduler_latency`) in quick mode and writes a merged JSON snapshot of
-# mean ns per trial per scheduler, so the perf trajectory of the simulation
-# hot path is tracked PR over PR.
+# `scheduler_latency`) and the DAG microbenchmarks (`dag_ops`: graph
+# analysis, job generation and one streamed-workload pull) in quick mode
+# and writes a merged JSON snapshot of mean ns per spec, so the perf
+# trajectory of the simulation hot path and of workload intake is tracked
+# PR over PR.
 #
 # Usage:  crates/bench/smoke.sh [output.json]
 #
@@ -92,6 +94,8 @@ PCAPS_BENCH_QUICK=1 PCAPS_BENCH_JSON="$tmpdir/simulator_throughput.json" \
     cargo bench --bench simulator_throughput
 PCAPS_BENCH_QUICK=1 PCAPS_BENCH_JSON="$tmpdir/scheduler_latency.json" \
     cargo bench --bench scheduler_latency
+PCAPS_BENCH_QUICK=1 PCAPS_BENCH_JSON="$tmpdir/dag_ops.json" \
+    cargo bench --bench dag_ops
 
 python3 - "$tmpdir" "$out" <<'PYEOF'
 import json

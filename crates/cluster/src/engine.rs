@@ -3137,6 +3137,26 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_task_duration_is_an_invalid_job_not_a_panic() {
+        for bad in [f64::NAN, f64::INFINITY, -2.0] {
+            let mut job = chain_job("bad", 2, 2, 1.0);
+            job.stages[1].tasks[0].duration = bad;
+            let sim = Simulator::new(
+                ClusterConfig::new(1),
+                vec![SubmittedJob::at(0.0, job)],
+                flat_trace(),
+            );
+            match sim.run(&mut SimpleFifo::new()) {
+                Err(SimError::InvalidJob { job, reason }) => {
+                    assert_eq!(job, "bad");
+                    assert!(reason.contains("duration"), "{reason}");
+                }
+                other => panic!("duration {bad}: expected InvalidJob, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn records_capture_executor_seconds() {
         let job = chain_job("j", 2, 3, 4.0);
         let config = ClusterConfig::new(3).with_move_delay(0.0).with_time_scale(1.0);

@@ -56,7 +56,11 @@
 //!   [`ProfileMode::Light`] nothing recorded grows with the task count
 //!   either, which is what lets 100k-job Alibaba-style runs fit.  New
 //!   engine features must not reintroduce whole-workload borrows or
-//!   preloading.
+//!   preloading.  A pulled DAG is built once, with O(1) allocations per
+//!   stage and none per edge: the workload stream scales and renames it
+//!   in place, and its precedence edges live in a flat (CSR)
+//!   `pcaps_dag::Adjacency`, so building a job and dropping it at
+//!   completion cost a fixed number of buffers plus the stages'.
 //!
 //! * **Federation layering.**  One engine run owns a single shared
 //!   event queue and a vector of member states; every event except a job

@@ -6,20 +6,20 @@ use crate::ids::StageId;
 use crate::job::JobDag;
 use crate::stage::Stage;
 use crate::task::Task;
-use std::collections::HashMap;
 
 /// Builder for [`JobDag`] that assigns dense stage ids and validates the
 /// result (non-empty stages, acyclic precedence) at [`JobDagBuilder::build`].
 ///
 /// Stages can be referenced either by the [`StageId`] returned from
 /// [`JobDagBuilder::add_stage`] or by name via
-/// [`JobDagBuilder::edge_by_name`].
+/// [`JobDagBuilder::edge_by_name`].  A name lookup scans the stages added so
+/// far, newest first, so a repeated name refers to its latest stage; the
+/// generators wire edges by id and never pay for it.
 #[derive(Debug, Clone)]
 pub struct JobDagBuilder {
     name: String,
     stages: Vec<Stage>,
     edges: Vec<(StageId, StageId)>,
-    by_name: HashMap<String, StageId>,
 }
 
 impl JobDagBuilder {
@@ -29,15 +29,12 @@ impl JobDagBuilder {
             name: name.into(),
             stages: Vec::new(),
             edges: Vec::new(),
-            by_name: HashMap::new(),
         }
     }
 
     /// Adds a stage and returns its id.
     pub fn add_stage(&mut self, name: impl Into<String>, tasks: Vec<Task>) -> StageId {
         let id = StageId(self.stages.len() as u32);
-        let name = name.into();
-        self.by_name.insert(name.clone(), id);
         self.stages.push(Stage::new(id, name, tasks));
         id
     }
@@ -68,20 +65,17 @@ impl JobDagBuilder {
 
     /// Records a precedence edge between two previously added stages by name.
     pub fn edge_by_name(self, from: &str, to: &str) -> Result<Self, DagError> {
-        let f = *self
-            .by_name
-            .get(from)
-            .ok_or_else(|| DagError::UnknownStageName { name: from.to_string() })?;
-        let t = *self
-            .by_name
-            .get(to)
-            .ok_or_else(|| DagError::UnknownStageName { name: to.to_string() })?;
+        let lookup = |name: &str| {
+            self.stage_id(name)
+                .ok_or_else(|| DagError::UnknownStageName { name: name.to_string() })
+        };
+        let (f, t) = (lookup(from)?, lookup(to)?);
         self.edge(f, t)
     }
 
-    /// Looks up a stage id by name.
+    /// Looks up a stage id by name (the latest stage, if the name repeats).
     pub fn stage_id(&self, name: &str) -> Option<StageId> {
-        self.by_name.get(name).copied()
+        self.stages.iter().rev().find(|s| s.name == name).map(|s| s.id)
     }
 
     /// Number of stages added so far.
@@ -99,10 +93,7 @@ impl JobDagBuilder {
                 return Err(DagError::EmptyStage { stage: s.id });
             }
         }
-        let mut adjacency = Adjacency::new(self.stages.len());
-        for (f, t) in self.edges {
-            adjacency.add_edge(f, t)?;
-        }
+        let adjacency = Adjacency::from_edges(self.stages.len(), &self.edges)?;
         // Cycle check.
         adjacency.topological_order()?;
         let job = JobDag::from_parts(self.name, self.stages, adjacency);
@@ -208,5 +199,16 @@ mod tests {
         assert_eq!(b.stage_id("c"), Some(StageId(1)));
         assert_eq!(b.stage_id("missing"), None);
         assert_eq!(b.num_stages(), 2);
+    }
+
+    #[test]
+    fn repeated_names_resolve_to_the_latest_stage() {
+        let mut b = JobDagBuilder::new("dup");
+        b.add_stage("a", vec![Task::new(1.0)]);
+        b.add_stage("x", vec![Task::new(1.0)]);
+        b.add_stage("a", vec![Task::new(1.0)]);
+        assert_eq!(b.stage_id("a"), Some(StageId(2)));
+        let job = b.edge_by_name("x", "a").unwrap().build().unwrap();
+        assert_eq!(job.adjacency.children(StageId(1)), &[StageId(2)]);
     }
 }

@@ -1,6 +1,6 @@
 //! Error type for DAG construction and validation.
 
-use crate::ids::StageId;
+use crate::ids::{StageId, TaskId};
 use std::fmt;
 
 /// Errors raised while building or validating a [`crate::JobDag`].
@@ -12,6 +12,13 @@ pub enum DagError {
     EmptyStage {
         /// The offending stage.
         stage: StageId,
+    },
+    /// A task's duration is NaN, infinite or negative.
+    InvalidTaskDuration {
+        /// The stage holding the task.
+        stage: StageId,
+        /// The task, by index within its stage.
+        task: TaskId,
     },
     /// An edge references a stage id that does not exist in the job.
     UnknownStage {
@@ -47,6 +54,10 @@ impl fmt::Display for DagError {
         match self {
             DagError::EmptyJob => write!(f, "job has no stages"),
             DagError::EmptyStage { stage } => write!(f, "{stage} has no tasks"),
+            DagError::InvalidTaskDuration { stage, task } => write!(
+                f,
+                "{task} of {stage} has a duration that is not finite and non-negative"
+            ),
             DagError::UnknownStage { stage } => {
                 write!(f, "edge references unknown {stage}")
             }
@@ -75,6 +86,7 @@ mod tests {
         let msgs = [
             DagError::EmptyJob.to_string(),
             DagError::EmptyStage { stage: StageId(3) }.to_string(),
+            DagError::InvalidTaskDuration { stage: StageId(3), task: TaskId(1) }.to_string(),
             DagError::UnknownStage { stage: StageId(9) }.to_string(),
             DagError::UnknownStageName { name: "x".into() }.to_string(),
             DagError::SelfLoop { stage: StageId(1) }.to_string(),

@@ -4,72 +4,105 @@
 //! schedulers can cheaply ask for parents (prerequisites) and children
 //! (dependents) of a stage.  It also provides topological ordering, cycle
 //! detection, and reachability queries used by the analysis module.
+//!
+//! The layout is compressed sparse row (CSR): all child lists live in one
+//! `Vec`, with stage `s`'s children at `child_offsets[s]..child_offsets[s +
+//! 1]`, and the parent lists likewise.  [`Adjacency::from_edges`] builds
+//! both directions from one edge list in a counting pass, so a DAG owns four
+//! buffers however many stages and edges it has, and each per-stage list
+//! keeps the order its edges had in the input.
 
 use crate::error::DagError;
 use crate::ids::StageId;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Directed adjacency for a fixed number of stages `0..n`.
+/// Directed adjacency for a fixed number of stages `0..n`, in CSR form.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Adjacency {
-    /// `children[s]` lists stages that depend on `s`.
-    children: Vec<Vec<StageId>>,
-    /// `parents[s]` lists stages that `s` depends on.
-    parents: Vec<Vec<StageId>>,
+    /// `children[child_offsets[s]..child_offsets[s + 1]]` lists the stages
+    /// that depend on `s`.  Length `n + 1`.
+    child_offsets: Vec<u32>,
+    children: Vec<StageId>,
+    /// `parents[parent_offsets[s]..parent_offsets[s + 1]]` lists the stages
+    /// that `s` depends on.  Length `n + 1`.
+    parent_offsets: Vec<u32>,
+    parents: Vec<StageId>,
 }
 
 impl Adjacency {
-    /// Creates an edge-less adjacency over `n` stages.
-    pub fn new(n: usize) -> Self {
-        Adjacency {
-            children: vec![Vec::new(); n],
-            parents: vec![Vec::new(); n],
+    /// Builds the adjacency of `n` stages from `edges` (`from -> to`).
+    ///
+    /// Each stage's children and parents appear in the order of their
+    /// edges in `edges`.  The result, and the error for an invalid list, is
+    /// what adding the edges one at a time would give: the first edge in
+    /// list order that names a stage outside `0..n`
+    /// ([`DagError::UnknownStage`], `from` checked before `to`), is a
+    /// self-loop ([`DagError::SelfLoop`]), or repeats an earlier edge
+    /// ([`DagError::DuplicateEdge`]) is reported.  Cycles are not checked
+    /// here; see [`Adjacency::topological_order`].
+    pub fn from_edges(n: usize, edges: &[(StageId, StageId)]) -> Result<Self, DagError> {
+        // Edges before the first malformed one are valid on their own; a
+        // duplicate among them is the earlier error.
+        let first_err = edges.iter().enumerate().find_map(|(k, &(from, to))| {
+            let err = if from.index() >= n {
+                DagError::UnknownStage { stage: from }
+            } else if to.index() >= n {
+                DagError::UnknownStage { stage: to }
+            } else if from == to {
+                DagError::SelfLoop { stage: from }
+            } else {
+                return None;
+            };
+            Some((k, err))
+        });
+        let edges = &edges[..first_err.as_ref().map_or(edges.len(), |(k, _)| *k)];
+        let (child_offsets, children) = csr(n, edges.iter().copied());
+        let (parent_offsets, parents) = csr(n, edges.iter().map(|&(f, t)| (t, f)));
+        let adjacency = Adjacency { child_offsets, children, parent_offsets, parents };
+        let has_duplicate = (0..n as u32).map(StageId).any(|s| {
+            let list = adjacency.children(s);
+            (1..list.len()).any(|i| list[..i].contains(&list[i]))
+        });
+        if has_duplicate {
+            // Error path only: name the first repeat in list order.
+            let k = (1..edges.len())
+                .find(|&k| edges[..k].contains(&edges[k]))
+                .expect("a stage lists a child twice, so some edge repeats");
+            let (from, to) = edges[k];
+            return Err(DagError::DuplicateEdge { from, to });
+        }
+        match first_err {
+            Some((_, err)) => Err(err),
+            None => Ok(adjacency),
         }
     }
 
     /// Number of stages.
     pub fn len(&self) -> usize {
-        self.children.len()
+        self.child_offsets.len() - 1
     }
 
     /// True if there are no stages.
     pub fn is_empty(&self) -> bool {
-        self.children.is_empty()
+        self.len() == 0
     }
 
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
-        self.children.iter().map(Vec::len).sum()
-    }
-
-    /// Adds an edge `from -> to`, validating both endpoints.
-    pub fn add_edge(&mut self, from: StageId, to: StageId) -> Result<(), DagError> {
-        let n = self.len();
-        for s in [from, to] {
-            if s.index() >= n {
-                return Err(DagError::UnknownStage { stage: s });
-            }
-        }
-        if from == to {
-            return Err(DagError::SelfLoop { stage: from });
-        }
-        if self.children[from.index()].contains(&to) {
-            return Err(DagError::DuplicateEdge { from, to });
-        }
-        self.children[from.index()].push(to);
-        self.parents[to.index()].push(from);
-        Ok(())
+        self.children.len()
     }
 
     /// Stages that directly depend on `s`.
     pub fn children(&self, s: StageId) -> &[StageId] {
-        &self.children[s.index()]
+        let i = s.index();
+        &self.children[self.child_offsets[i] as usize..self.child_offsets[i + 1] as usize]
     }
 
     /// Stages that `s` directly depends on.
     pub fn parents(&self, s: StageId) -> &[StageId] {
-        &self.parents[s.index()]
+        let i = s.index();
+        &self.parents[self.parent_offsets[i] as usize..self.parent_offsets[i + 1] as usize]
     }
 
     /// Stages with no parents (ready as soon as the job arrives).
@@ -92,7 +125,7 @@ impl Adjacency {
     /// stage that is part of (or blocked behind) a cycle.
     pub fn topological_order(&self) -> Result<Vec<StageId>, DagError> {
         let n = self.len();
-        let mut indeg: Vec<usize> = (0..n).map(|i| self.parents[i].len()).collect();
+        let mut indeg: Vec<u32> = self.parent_offsets.windows(2).map(|w| w[1] - w[0]).collect();
         let mut queue: VecDeque<StageId> = (0..n as u32)
             .map(StageId)
             .filter(|s| indeg[s.index()] == 0)
@@ -179,18 +212,47 @@ impl Adjacency {
     }
 }
 
+/// One direction of a CSR adjacency: counts each key's entries, turns the
+/// counts into offsets, then places every `(key, value)` pair in input
+/// order.  Keys must be below `n`.
+fn csr(
+    n: usize,
+    pairs: impl Iterator<Item = (StageId, StageId)> + Clone,
+) -> (Vec<u32>, Vec<StageId>) {
+    // `offsets[s + 1]` counts key `s`; the prefix sum makes `offsets[s]`
+    // the start of `s`'s run.  Filling advances `offsets[s]` to the end of
+    // the run, and the final shift restores the starts.
+    let mut offsets = vec![0u32; n + 1];
+    let mut len = 0;
+    for (key, _) in pairs.clone() {
+        offsets[key.index() + 1] += 1;
+        len += 1;
+    }
+    for s in 1..=n {
+        offsets[s] += offsets[s - 1];
+    }
+    let mut values = vec![StageId(0); len];
+    for (key, value) in pairs {
+        let slot = &mut offsets[key.index()];
+        values[*slot as usize] = value;
+        *slot += 1;
+    }
+    offsets.copy_within(0..n, 1);
+    offsets[0] = 0;
+    (offsets, values)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn edges(pairs: &[(u32, u32)]) -> Vec<(StageId, StageId)> {
+        pairs.iter().map(|&(f, t)| (StageId(f), StageId(t))).collect()
+    }
+
     /// Diamond: 0 -> {1,2} -> 3
     fn diamond() -> Adjacency {
-        let mut a = Adjacency::new(4);
-        a.add_edge(StageId(0), StageId(1)).unwrap();
-        a.add_edge(StageId(0), StageId(2)).unwrap();
-        a.add_edge(StageId(1), StageId(3)).unwrap();
-        a.add_edge(StageId(2), StageId(3)).unwrap();
-        a
+        Adjacency::from_edges(4, &edges(&[(0, 1), (0, 2), (1, 3), (2, 3)])).unwrap()
     }
 
     #[test]
@@ -222,10 +284,7 @@ mod tests {
 
     #[test]
     fn cycle_detection() {
-        let mut a = Adjacency::new(3);
-        a.add_edge(StageId(0), StageId(1)).unwrap();
-        a.add_edge(StageId(1), StageId(2)).unwrap();
-        a.add_edge(StageId(2), StageId(0)).unwrap();
+        let a = Adjacency::from_edges(3, &edges(&[(0, 1), (1, 2), (2, 0)])).unwrap();
         match a.topological_order() {
             Err(DagError::CycleDetected { .. }) => {}
             other => panic!("expected cycle error, got {other:?}"),
@@ -234,19 +293,16 @@ mod tests {
 
     #[test]
     fn self_loop_rejected() {
-        let mut a = Adjacency::new(2);
         assert_eq!(
-            a.add_edge(StageId(1), StageId(1)),
+            Adjacency::from_edges(2, &edges(&[(1, 1)])),
             Err(DagError::SelfLoop { stage: StageId(1) })
         );
     }
 
     #[test]
     fn duplicate_edge_rejected() {
-        let mut a = Adjacency::new(2);
-        a.add_edge(StageId(0), StageId(1)).unwrap();
         assert_eq!(
-            a.add_edge(StageId(0), StageId(1)),
+            Adjacency::from_edges(2, &edges(&[(0, 1), (0, 1)])),
             Err(DagError::DuplicateEdge {
                 from: StageId(0),
                 to: StageId(1)
@@ -256,9 +312,8 @@ mod tests {
 
     #[test]
     fn unknown_stage_rejected() {
-        let mut a = Adjacency::new(2);
         assert_eq!(
-            a.add_edge(StageId(0), StageId(5)),
+            Adjacency::from_edges(2, &edges(&[(0, 5)])),
             Err(DagError::UnknownStage { stage: StageId(5) })
         );
     }
@@ -277,7 +332,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let a = Adjacency::new(0);
+        let a = Adjacency::from_edges(0, &[]).unwrap();
         assert!(a.is_empty());
         assert!(a.topological_order().unwrap().is_empty());
     }

@@ -3,7 +3,7 @@
 use crate::analysis;
 use crate::error::DagError;
 use crate::graph::Adjacency;
-use crate::ids::StageId;
+use crate::ids::{StageId, TaskId};
 use crate::stage::Stage;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -17,13 +17,15 @@ use std::sync::OnceLock;
 /// * stage ids are dense `0..n` and match their index in `stages`,
 /// * the precedence edges form a DAG (no cycles, no self-loops).
 ///
-/// **Treat a built DAG as immutable.**  Derived quantities
-/// ([`JobDag::bottleneck_scores`], [`JobDag::duration_suffix_sums`]) are
-/// cached on first use; mutating `stages`/`adjacency` in place afterwards
-/// serves stale answers silently.  To change a job, build a new one (as
-/// [`JobDag::scaled`] / [`JobDag::renamed`] do) — the fields stay public
-/// for reading and for tests that deliberately construct invalid states
-/// for [`JobDag::validate`].
+/// **Do not mutate `stages`/`adjacency` through the public fields.**
+/// Derived quantities ([`JobDag::bottleneck_scores`],
+/// [`JobDag::duration_suffix_sums`]) are cached on first use; editing the
+/// fields afterwards serves stale answers silently.  [`JobDag::scale`]
+/// changes durations in place and resets the caches; [`JobDag::scaled`] /
+/// [`JobDag::renamed`] return changed copies.  Renaming through the `name`
+/// field is safe, since no cache depends on it.  The other fields stay
+/// public for reading and for tests that deliberately construct invalid
+/// states for [`JobDag::validate`].
 #[derive(Debug, Serialize, Deserialize)]
 pub struct JobDag {
     /// Human-readable job name, e.g., `"tpch-q17-10g"`.
@@ -39,7 +41,7 @@ pub struct JobDag {
     /// DAG, queried by Decima-style schedulers at every scheduling event.
     /// Excluded from `Clone`/`PartialEq`; mutating `stages`/`adjacency`
     /// through the public fields after the cache is populated leaves it
-    /// stale (construct a new DAG instead, as `scaled`/`renamed` do).
+    /// stale (use `scale`, which resets it, or build a new DAG).
     #[serde(skip)]
     bottleneck_cache: OnceLock<Box<[f64]>>,
     /// Lazily computed per-stage duration suffix sums backing
@@ -185,6 +187,15 @@ impl JobDag {
             if s.tasks.is_empty() {
                 return Err(DagError::EmptyStage { stage: s.id });
             }
+            // Same rule as `Task::new`; the fields are public, so a DAG
+            // assembled or edited by hand can break it.
+            if let Some(k) = s
+                .tasks
+                .iter()
+                .position(|t| !(t.duration.is_finite() && t.duration >= 0.0))
+            {
+                return Err(DagError::InvalidTaskDuration { stage: s.id, task: TaskId(k as u32) });
+            }
         }
         if self.adjacency.len() != self.stages.len() {
             return Err(DagError::UnknownStage {
@@ -194,28 +205,33 @@ impl JobDag {
         self.adjacency.topological_order().map(|_| ())
     }
 
-    /// Returns a copy of the job with every task duration multiplied by
-    /// `factor` (experiment time scaling, §6.1 of the paper).
-    pub fn scaled(&self, factor: f64) -> JobDag {
-        JobDag {
-            name: self.name.clone(),
-            stages: self.stages.iter().map(|s| s.scaled(factor)).collect(),
-            adjacency: self.adjacency.clone(),
-            bottleneck_cache: OnceLock::new(),
-            work_suffix_cache: OnceLock::new(),
+    /// Multiplies every task duration by `factor` in place (experiment time
+    /// scaling, §6.1 of the paper) with [`Task::scaled`]'s arithmetic, and
+    /// drops the derived-quantity caches, which depend on durations.
+    ///
+    /// [`Task::scaled`]: crate::Task::scaled
+    pub fn scale(&mut self, factor: f64) {
+        for stage in &mut self.stages {
+            stage.scale(factor);
         }
+        self.bottleneck_cache = OnceLock::new();
+        self.work_suffix_cache = OnceLock::new();
+    }
+
+    /// Returns a copy of the job with every task duration multiplied by
+    /// `factor` (see [`JobDag::scale`]).
+    pub fn scaled(&self, factor: f64) -> JobDag {
+        let mut dag = self.clone();
+        dag.scale(factor);
+        dag
     }
 
     /// Returns a copy with a different name (useful when instantiating the
     /// same template several times within a workload).
     pub fn renamed(&self, name: impl Into<String>) -> JobDag {
-        JobDag {
-            name: name.into(),
-            stages: self.stages.clone(),
-            adjacency: self.adjacency.clone(),
-            bottleneck_cache: OnceLock::new(),
-            work_suffix_cache: OnceLock::new(),
-        }
+        let mut dag = self.clone();
+        dag.name = name.into();
+        dag
     }
 }
 
@@ -272,6 +288,35 @@ mod tests {
             j.validate(),
             Err(DagError::UnknownStage { .. })
         ));
+    }
+
+    #[test]
+    fn validate_detects_invalid_task_durations() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let mut j = chain(3, 1.0);
+            j.stages[2].tasks.push(Task::new(1.0));
+            j.stages[2].tasks[1].duration = bad;
+            assert_eq!(
+                j.validate(),
+                Err(DagError::InvalidTaskDuration { stage: StageId(2), task: TaskId(1) }),
+                "duration {bad}"
+            );
+        }
+        let mut j = chain(2, 1.0);
+        j.stages[0].tasks[0].duration = 0.0;
+        j.validate().unwrap();
+    }
+
+    #[test]
+    fn scale_resets_cached_quantities() {
+        let mut j = chain(3, 2.0);
+        let before = j.duration_suffix_sums().1.to_vec();
+        let _ = j.bottleneck_scores();
+        j.scale(0.5);
+        let fresh = j.clone();
+        assert_eq!(j.duration_suffix_sums(), fresh.duration_suffix_sums());
+        assert_eq!(j.bottleneck_scores(), fresh.bottleneck_scores());
+        assert_ne!(j.duration_suffix_sums().1, &before[..]);
     }
 
     #[test]

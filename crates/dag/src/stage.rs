@@ -78,14 +78,20 @@ impl Stage {
         self.tasks.iter().map(|t| t.shuffle_bytes).sum()
     }
 
-    /// Returns a copy of this stage with all task durations scaled by
-    /// `factor` (see [`Task::scaled`]).
-    pub fn scaled(&self, factor: f64) -> Self {
-        Stage {
-            id: self.id,
-            name: self.name.clone(),
-            tasks: self.tasks.iter().map(|t| t.scaled(factor)).collect(),
+    /// Multiplies every task duration by `factor` in place (see
+    /// [`Task::scaled`]).
+    pub fn scale(&mut self, factor: f64) {
+        for task in &mut self.tasks {
+            *task = task.scaled(factor);
         }
+    }
+
+    /// Returns a copy of this stage with all task durations scaled by
+    /// `factor` (see [`Stage::scale`]).
+    pub fn scaled(&self, factor: f64) -> Self {
+        let mut stage = self.clone();
+        stage.scale(factor);
+        stage
     }
 }
 

@@ -10,6 +10,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 /// A job together with its arrival time, as produced by the workload builder.
 /// (The cluster crate has an identical `SubmittedJob`; keeping a separate
@@ -182,6 +183,10 @@ impl WorkloadBuilder {
 /// The DAG-sampling half of a workload stream: kind selection, duration
 /// scaling and unique `name#index` renaming, independent of how arrivals
 /// are spaced.
+///
+/// `next_dag` is the intake hot path of every streamed run.  Each pulled
+/// DAG is built once by its generator, then scaled and renamed in place:
+/// it is never copied.
 struct JobSampler {
     kind: WorkloadKind,
     duration_scale: f64,
@@ -196,7 +201,7 @@ impl JobSampler {
     fn next_dag(&mut self) -> JobDag {
         let i = self.next_index;
         self.next_index += 1;
-        let dag = match self.kind {
+        let mut dag = match self.kind {
             WorkloadKind::TpchMixed => {
                 let q = *self.queries.choose(&mut self.rng).expect("non-empty query list");
                 let scale = *TpchScale::ALL.choose(&mut self.rng).expect("non-empty scales");
@@ -208,7 +213,9 @@ impl JobSampler {
             }
             WorkloadKind::Alibaba => self.alibaba.next_job(),
         };
-        dag.scaled(self.duration_scale).renamed(format!("{}#{}", dag.name, i))
+        dag.scale(self.duration_scale);
+        write!(dag.name, "#{i}").expect("writing to a String cannot fail");
+        dag
     }
 }
 

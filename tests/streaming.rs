@@ -274,3 +274,57 @@ fn out_of_order_sources_abort_with_a_descriptive_error() {
     assert!(msg.contains("backwards"), "error must name the job: {msg}");
     assert!(msg.contains("non-decreasing"), "error must state the contract: {msg}");
 }
+
+/// FNV-1a over the generator output of the first `n` streamed DAGs: each
+/// job's name, every task duration's bits, and every stage's child and
+/// parent lists in stored order.
+fn generator_digest(kind: WorkloadKind, seed: u64, n: usize) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = OFFSET;
+    let mut mix = |v: u64| {
+        for b in v.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(PRIME);
+        }
+    };
+    for job in WorkloadBuilder::new(kind, seed).jobs(n).stream() {
+        let dag = &job.dag;
+        mix(dag.name.len() as u64);
+        for b in dag.name.bytes() {
+            mix(b as u64);
+        }
+        mix(dag.stages.len() as u64);
+        for stage in &dag.stages {
+            mix(stage.tasks.len() as u64);
+            for task in &stage.tasks {
+                mix(task.duration.to_bits());
+            }
+            for list in [dag.adjacency.children(stage.id), dag.adjacency.parents(stage.id)] {
+                mix(list.len() as u64);
+                for s in list {
+                    mix(s.0 as u64);
+                }
+            }
+        }
+    }
+    h
+}
+
+/// The generators' output is pinned to digests captured before the DAG
+/// construction path was flattened (in-place scaling, CSR adjacency, no
+/// stage-name map), so any change to names, durations or edge order in the
+/// streamed DAGs shows up here rather than only as a schedule diff.
+#[test]
+fn streamed_dags_match_the_pinned_generator_digests() {
+    assert_eq!(
+        generator_digest(WorkloadKind::Alibaba, 2025, 200),
+        18398641109857802635,
+        "Alibaba generator output changed"
+    );
+    assert_eq!(
+        generator_digest(WorkloadKind::TpchMixed, 2025, 200),
+        18303081050032501690,
+        "TPC-H generator output changed"
+    );
+}
