@@ -62,9 +62,7 @@ require_full_suite() {
 # tests/steady_state.rs pins the serving mode (snapshot/restore
 # bit-identity across policies and seeds, windowed-percentile oracle,
 # admission conservation, open-loop determinism, bounded residency);
-# tests/parallel.rs pins the execution modes (batched ≡ sequential bit for
-# bit on every spec, parallel results invariant to worker count across
-# schedulers × migration × faults × seeds); tests/network.rs pins the
+# tests/network.rs pins the
 # link-level transfer model (flow completions vs the from-scratch max-min
 # oracle, from_matrix ≡ TransferMatrix bit-identity on fed3_migrate_pcaps,
 # drain-then-move replay determinism); tests/scheduler_state.rs pins the
@@ -72,14 +70,18 @@ require_full_suite() {
 # per-job score and softmax blocks, cached jobs-with-work count, and the
 # fused sample-and-importance path PCAPS uses) bit for bit against
 # from-scratch oracles across arrivals, completions, serve-mode compaction
-# and migration.
+# and migration; tests/determinism.rs pins the seven single-cluster
+# `run_trial` fingerprints (finite and serve paths) and seed sensitivity;
+# tests/federation.rs pins the single-member federation against those
+# fingerprints, routing determinism and per-member wakeup delivery.
 require_full_suite migration "migration conformance suite"
 require_full_suite streaming "streaming-equivalence suite"
 require_full_suite faults "fault-injection conformance suite"
 require_full_suite steady_state "steady-state serving suite"
-require_full_suite parallel "execution-mode determinism suite"
 require_full_suite network "network-topology conformance suite"
 require_full_suite scheduler_state "incremental scheduler-state suite"
+require_full_suite determinism "pinned-fingerprint determinism suite"
+require_full_suite federation "federation fingerprint suite"
 
 # The repo benchmark (perfbench/, its own cargo package) times workloads
 # through wrappers around the public policy and intake traits; its tests

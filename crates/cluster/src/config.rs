@@ -157,6 +157,37 @@ impl ClusterConfig {
         self
     }
 
+    /// Checks the fields against exactly the conditions the constructor and
+    /// builder methods assert, for configs whose public fields were set
+    /// directly.  Returns the first violation: the field, its value and the
+    /// builder's message.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let positive_finite = |v: f64| v > 0.0 && v.is_finite();
+        if self.num_executors == 0 {
+            return Err("num_executors = 0: cluster must have at least one executor".into());
+        }
+        if self.per_job_executor_cap == Some(0) {
+            let reason = "per_job_executor_cap = Some(0): per-job executor cap must be positive";
+            return Err(reason.into());
+        }
+        let delay = self.executor_move_delay;
+        if !(delay >= 0.0 && delay.is_finite()) {
+            return Err(format!("executor_move_delay = {delay}: move delay must be non-negative"));
+        }
+        if !positive_finite(self.time_scale) {
+            return Err(format!("time_scale = {}: time scale must be positive", self.time_scale));
+        }
+        if !positive_finite(self.forecast_horizon) {
+            let horizon = self.forecast_horizon;
+            return Err(format!("forecast_horizon = {horizon}: horizon must be positive"));
+        }
+        if !(self.max_sim_time > 0.0) {
+            let max = self.max_sim_time;
+            return Err(format!("max_sim_time = {max}: max sim time must be positive"));
+        }
+        Ok(())
+    }
+
     /// Effective cap on executors for one job.
     pub fn job_cap(&self) -> usize {
         self.per_job_executor_cap.unwrap_or(self.num_executors)

@@ -141,12 +141,9 @@ impl Simulator {
         self
     }
 
-    /// Selects how runs advance the event loop (see
-    /// [`Federation::with_execution_mode`]).  [`ExecutionMode::Parallel`]
-    /// degrades to [`ExecutionMode::Batched`] on a single-member simulator —
-    /// windows need at least two members to decouple.
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.federation = self.federation.with_execution_mode(mode);
+    /// A no-op kept so existing callers compile: the engine has one event
+    /// loop (see [`ExecutionMode`]).
+    pub fn with_execution_mode(self, _mode: ExecutionMode) -> Self {
         self
     }
 
@@ -585,9 +582,8 @@ pub(crate) struct Engine<'a> {
     /// `None` otherwise, keeping the matrix path untouched).
     flows: Option<FlowSet>,
     /// Jobs currently draining toward a migration (their `ActiveJob` holds
-    /// the destination).  Like `in_transit`, a conservative window can only
-    /// open at zero: the drain trigger is an engine-level cross-member
-    /// action.
+    /// the destination).  At zero, queue events skip the drain-trigger
+    /// lookup entirely.
     draining_jobs: usize,
     /// Reused buffer for flow-arrival (re)scheduling plans.
     flow_plan_buf: Vec<FlowArrivalPlan>,
@@ -644,15 +640,6 @@ pub(crate) struct Engine<'a> {
     /// The run-scoped migration sink (cleared, never reallocated, per
     /// consultation).
     migration_sink: MigrationSink,
-    /// How the event loop advances (see [`ExecutionMode`]).
-    mode: ExecutionMode,
-    /// Jobs currently migrating between members.  A conservative window can
-    /// only open at zero: a queued [`Event::MigrationArrival`] re-registers
-    /// state on another member, which no member-local advance may observe.
-    in_transit: usize,
-    /// Reused buffer for batched-mode `(member, seed)` pairs (cleared per
-    /// burst, never reallocated in the steady state).
-    seed_buf: Vec<(usize, EventSeed)>,
 }
 
 /// A job's migratable remainder: `(remaining executor-seconds of
@@ -683,59 +670,23 @@ enum EventSeed {
     Kick,
 }
 
-/// How the engine advances its event loop.
-///
-/// The default reproduces the historical engine exactly; the other modes
-/// trade bit-identity with it for throughput while staying fully
-/// deterministic in their own right (same seed + same mode ⇒ same result,
-/// and for [`ExecutionMode::Parallel`] the same result for *any* worker
-/// count).
+/// The engine's event-loop strategy.  There is one: every queue event is
+/// handled on its own and triggers one scheduling pass on its member, as in
+/// the paper's discrete-event simulator.  The enum and the
+/// `with_execution_mode` setters on [`Simulator`] and [`Federation`] are
+/// no-ops kept only so existing callers compile; they go once those callers
+/// drop them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
-    /// One queue event at a time, one scheduler invocation per event —
-    /// bit-identical to the pre-batching engine.
+    /// One queue event at a time, one scheduler invocation per event.
     #[default]
     Sequential,
-    /// Same-instant queue events are drained together: all side effects
-    /// apply first (in queue order), then each touched member's scheduler
-    /// is invoked once per instant with a coalesced event — equal
-    /// `(job, stage)` task finishes sum their `n`, heterogeneous bursts
-    /// degrade to one `Kick`.  The [`SchedEvent`] stream is advisory
-    /// (lossy) by contract, so policies reading only the context behave
-    /// identically.
-    Batched,
-    /// Batched, plus: between cross-member interaction points, federation
-    /// members advance independently on a `std::thread::scope` worker
-    /// pool, synchronizing at conservative window barriers (next arrival,
-    /// next fault injection, any member's next carbon step, the serve
-    /// horizon, the time limit).  Results are identical for any `workers`
-    /// value, including 1.
-    Parallel {
-        /// Worker threads the member partition is spread across (clamped
-        /// to at least 1; capped by the member count).
-        workers: usize,
-    },
-}
-
-/// Coalesces two same-instant event seeds destined for one member: equal
-/// provenance task finishes sum their counts, anything heterogeneous
-/// degrades to a single advisory `Kick` (the context carries the truth).
-#[inline]
-fn merge_seeds(a: EventSeed, b: EventSeed) -> EventSeed {
-    match (a, b) {
-        (
-            EventSeed::TasksCompleted { job: ja, stage: sa, n: na },
-            EventSeed::TasksCompleted { job: jb, stage: sb, n: nb },
-        ) if ja == jb && sa == sb => EventSeed::TasksCompleted { job: ja, stage: sa, n: na + nb },
-        _ => EventSeed::Kick,
-    }
 }
 
 /// Outcome of one member-scoped queue event (everything except migration
-/// arrivals, which re-register state across members and stay engine-level).
-/// Job completion is *reported*, not applied: the caller owns the global
-/// job table, so the sequential path applies it inline while the windowed
-/// path defers it to the barrier merge.
+/// and flow arrivals, which re-register state across members and stay
+/// engine-level).  Job completion is *reported*, not applied: the global job
+/// table belongs to the engine, which settles the job itself.
 enum LocalOutcome {
     /// A stale finish (crashed executor) — dropped without a pass.
     Stale,
@@ -750,21 +701,11 @@ enum LocalOutcome {
     },
 }
 
-/// What one member's conservative-window advance produced, merged back into
-/// the engine at the barrier in member-index order.
-struct WindowOutcome {
-    /// Events at or past the barrier, in deterministic local-queue order.
-    leftovers: Vec<(f64, Event)>,
-    /// Jobs that completed inside the window, in completion order.
-    completions: Vec<JobId>,
-    /// The member's local clock after its last in-window event.
-    end_time: f64,
-}
-
-/// Applies one member-scoped queue event to its member's state.  This is
-/// the single implementation behind both paths: the engine's sequential
-/// loop (which then applies the reported completion to the global job table
-/// inline) and the parallel window (which defers it to the barrier merge).
+/// Applies one member-scoped queue event to its member's state, touching
+/// nothing outside that member: a completion is reported back for
+/// [`Engine::handle_event`] to settle in the global job table.  Together
+/// with [`member_schedule_pass`] this is the member-operation seam of the
+/// engine.
 #[inline]
 fn member_handle_event(
     member: &mut MemberState<'_>,
@@ -853,11 +794,7 @@ fn member_handle_event(
 
 /// One member's scheduling pass: consults the policy, resolves control
 /// verbs, applies assignments, and repeats with a `Kick` while dispatches
-/// land.  Shared verbatim between the engine's sequential loop (which
-/// passes the shared event queue and an empty `window_completed`) and the
-/// parallel window (which passes the member's local queue and the jobs
-/// completed so far inside the window, whose global-table settlement is
-/// deferred to the barrier).
+/// land.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn member_schedule_pass(
@@ -866,7 +803,6 @@ fn member_schedule_pass(
     time: f64,
     jobs_seen: usize,
     jobs: &JobTable,
-    window_completed: &[JobId],
     events: &mut EventQueue,
     scheduler: &mut dyn Scheduler,
     sink: &mut DecisionSink,
@@ -939,7 +875,6 @@ fn member_schedule_pass(
             time,
             jobs_seen,
             jobs,
-            window_completed,
             events,
             sink.assignments(),
         )?;
@@ -996,8 +931,7 @@ fn apply_deferrals_for(
 }
 
 /// Applies one member's assignments, returning the number of tasks
-/// actually dispatched.  Task-finish events go to the given queue (the
-/// shared one sequentially, the member's local one inside a window).
+/// actually dispatched.  Task-finish events go to the given queue.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn apply_assignments_for(
@@ -1006,7 +940,6 @@ fn apply_assignments_for(
     time: f64,
     jobs_seen: usize,
     jobs: &JobTable,
-    window_completed: &[JobId],
     events: &mut EventQueue,
     assignments: &[Assignment],
 ) -> Result<usize, SimError> {
@@ -1024,11 +957,7 @@ fn apply_assignments_for(
                 // stage-count validation retired with the slot).
                 continue;
             };
-            // A job that completed earlier inside the current window is
-            // settled in spirit — its global-table write is merely deferred
-            // to the barrier merge — so it earns the same forgiveness.
-            // Sequential and batched runs pass an empty list here.
-            if slot.settled() || window_completed.contains(&a.job) {
+            if slot.settled() {
                 // An assignment to an already finished (or rejected) job
                 // is a harmless no-op — but an out-of-range stage is
                 // still a scheduler bug and keeps being reported (the
@@ -1144,90 +1073,6 @@ fn apply_assignments_for(
     Ok(dispatched)
 }
 
-/// Advances one member independently through every event strictly inside
-/// `[start, window_end)`: its bucket of drained events is replayed through
-/// a member-local queue (so newly produced finishes and wakeups inside the
-/// window are processed in exactly the shared queue's order), same-instant
-/// events are batched like [`ExecutionMode::Batched`], and job completions
-/// are reported — not applied — because the global job table is shared
-/// read-only across the worker pool.  Deterministic given the member's
-/// state and bucket, which is what makes the result independent of the
-/// worker layout.
-#[allow(clippy::too_many_arguments)]
-fn member_window(
-    member: &mut MemberState<'_>,
-    target: usize,
-    start: f64,
-    window_end: f64,
-    events_in: Vec<(f64, Event)>,
-    jobs: &JobTable,
-    jobs_seen: usize,
-    scheduler: &mut dyn Scheduler,
-) -> Result<WindowOutcome, SimError> {
-    let mut local = EventQueue::new();
-    for (t, event) in events_in {
-        local.push(t, event);
-    }
-    let mut completions: Vec<JobId> = Vec::new();
-    let mut time = start;
-    let mut sink = std::mem::take(&mut member.sink);
-    let mut run = || -> Result<(), SimError> {
-        while let Some(t) = local.peek_time() {
-            if t >= window_end {
-                break;
-            }
-            time = t;
-            debug_assert!(
-                member.available,
-                "windows only open while every member is available"
-            );
-            let mut merged: Option<EventSeed> = None;
-            while local.peek_time() == Some(t) {
-                let (_, event) = local.pop().expect("peeked time implies non-empty");
-                match member_handle_event(member, target, t, event)? {
-                    LocalOutcome::Stale => {}
-                    LocalOutcome::Seed(seed) => {
-                        merged = Some(match merged {
-                            Some(m) => merge_seeds(m, seed),
-                            None => seed,
-                        });
-                    }
-                    LocalOutcome::Completed { job, seed } => {
-                        completions.push(job);
-                        merged = Some(match merged {
-                            Some(m) => merge_seeds(m, seed),
-                            None => seed,
-                        });
-                    }
-                }
-            }
-            if let Some(seed) = merged {
-                member_schedule_pass(
-                    member,
-                    target,
-                    t,
-                    jobs_seen,
-                    jobs,
-                    &completions,
-                    &mut local,
-                    scheduler,
-                    &mut sink,
-                    seed,
-                )?;
-            }
-        }
-        Ok(())
-    };
-    let result = run();
-    member.sink = sink;
-    result?;
-    let mut leftovers = Vec::with_capacity(local.len());
-    while let Some(entry) = local.pop() {
-        leftovers.push(entry);
-    }
-    Ok(WindowOutcome { leftovers, completions, end_time: time })
-}
-
 impl<'a> Engine<'a> {
     /// An engine over a federation's materialized workload slice (sorted
     /// and validated by [`Federation::new`]).
@@ -1314,15 +1159,7 @@ impl<'a> Engine<'a> {
             view_buf,
             candidate_buf: Vec::new(),
             migration_sink: MigrationSink::new(),
-            mode: ExecutionMode::Sequential,
-            in_transit: 0,
-            seed_buf: Vec::new(),
         }
-    }
-
-    /// Selects how the event loop advances (see [`ExecutionMode`]).
-    pub(crate) fn set_mode(&mut self, mode: ExecutionMode) {
-        self.mode = mode;
     }
 
     /// Refills the arrival window: pulls the next job from the source,
@@ -1436,13 +1273,15 @@ impl<'a> Engine<'a> {
         Ok(self.assemble(router.name(), migration.name(), &names))
     }
 
-    /// One-time run preparation: validates the fault schedule against the
-    /// federation's shape and primes the arrival window.  Idempotent — a
-    /// serve session calls it once and keeps stepping the same engine.
+    /// One-time run preparation: validates each member's config and the
+    /// fault schedule against the federation's shape and primes the arrival
+    /// window.  Idempotent — a serve session calls it once and keeps
+    /// stepping the same engine.
     pub(crate) fn preflight(&mut self) -> Result<(), SimError> {
         if self.primed {
             return Ok(());
         }
+        self.validate_configs()?;
         // A fault schedule naming a member or executor the federation does
         // not have is a configuration error, reported before any simulation
         // state exists.
@@ -1477,6 +1316,18 @@ impl<'a> Engine<'a> {
             return Err(SimError::EmptyWorkload);
         }
         self.primed = true;
+        Ok(())
+    }
+
+    /// Reports the first member whose config breaks a builder condition.
+    /// Both ways of priming an engine — [`Engine::preflight`] and
+    /// [`Engine::restore`] — go through here.
+    fn validate_configs(&self) -> Result<(), SimError> {
+        for (member, m) in self.members.iter().enumerate() {
+            m.config
+                .validate()
+                .map_err(|reason| SimError::InvalidConfig { member, reason })?;
+        }
         Ok(())
     }
 
@@ -1518,15 +1369,6 @@ impl<'a> Engine<'a> {
                     self.time = self.time.max(stop);
                 }
                 return Ok(true);
-            }
-            // Parallel mode: try to advance every member independently up
-            // to the next cross-member interaction point.  Falls through to
-            // one normal sequential iteration whenever a window cannot open
-            // (members coupled, or nothing strictly inside the window).
-            if let ExecutionMode::Parallel { workers } = self.mode {
-                if self.maybe_run_window(stop_at, schedulers, workers.max(1))? {
-                    continue;
-                }
             }
             // The earliest member carbon step (ties broken by member index,
             // so multi-member runs stay deterministic).
@@ -1647,224 +1489,13 @@ impl<'a> Engine<'a> {
                 if self.time > self.max_sim_time {
                     return Err(self.time_limit_error());
                 }
-                if self.mode == ExecutionMode::Sequential {
-                    // `None`: the event was recognised as stale (a finish
-                    // whose executor crashed under it) and dropped without
-                    // a pass.
-                    if let Some((target, seed)) = self.handle_event(event)? {
-                        self.schedule_loop(target, &mut *schedulers[target], seed)?;
-                    }
-                } else {
-                    self.handle_event_burst(event, schedulers)?;
+                // `None`: the event was recognised as stale (a finish whose
+                // executor crashed under it) and dropped without a pass.
+                if let Some((target, seed)) = self.handle_event(event)? {
+                    self.schedule_loop(target, &mut *schedulers[target], seed)?;
                 }
             }
         }
-    }
-
-    /// Batched queue-event processing ([`ExecutionMode::Batched`] and the
-    /// sequential iterations of [`ExecutionMode::Parallel`]): drains every
-    /// event sharing the head timestamp, applies all side effects first (in
-    /// queue order), then invokes each touched member's scheduler once with
-    /// a coalesced seed, members in first-touched order.
-    fn handle_event_burst(
-        &mut self,
-        first: Event,
-        schedulers: &mut [&mut dyn Scheduler],
-    ) -> Result<(), SimError> {
-        let t = self.time;
-        let mut seeds = std::mem::take(&mut self.seed_buf);
-        seeds.clear();
-        if let Some(pair) = self.handle_event(first)? {
-            seeds.push(pair);
-        }
-        while self.events.peek_time() == Some(t) {
-            let (_, event) = self.events.pop().expect("peeked time implies non-empty");
-            if let Some(pair) = self.handle_event(event)? {
-                seeds.push(pair);
-            }
-        }
-        let mut i = 0;
-        while i < seeds.len() {
-            let (target, mut merged) = seeds[i];
-            // usize::MAX marks a seed already folded into an earlier
-            // member's coalesced invocation.
-            if target != usize::MAX {
-                for later in seeds[i + 1..].iter_mut() {
-                    if later.0 == target {
-                        merged = merge_seeds(merged, later.1);
-                        later.0 = usize::MAX;
-                    }
-                }
-                self.schedule_loop(target, &mut *schedulers[target], merged)?;
-            }
-            i += 1;
-        }
-        self.seed_buf = seeds;
-        Ok(())
-    }
-
-    /// Attempts one conservative time window ([`ExecutionMode::Parallel`]).
-    /// Returns `Ok(true)` when a window ran (the loop re-evaluates from the
-    /// barrier), `Ok(false)` when the engine must take one sequential
-    /// iteration instead.
-    ///
-    /// A window may open only while members are fully decoupled: no
-    /// migration in flight (its arrival re-registers state on another
-    /// member) and every member available (a drained finish on an outaged
-    /// member evacuates cross-member).  The barrier is the earliest instant
-    /// members can interact again — the pending arrival (routing reads
-    /// every member's view), the next fault injection, any member's next
-    /// carbon step (migration policies are consulted there), the serve
-    /// horizon and the time limit.  Only events *strictly* inside the
-    /// window are advanced; the barrier event itself is left queued, so
-    /// every cross-class tie rule (arrivals win ties, faults fire only when
-    /// strictly earliest, carbon loses ties to queue events) is decided by
-    /// the unchanged sequential branches.
-    fn maybe_run_window(
-        &mut self,
-        stop_at: Option<f64>,
-        schedulers: &mut [&mut dyn Scheduler],
-        workers: usize,
-    ) -> Result<bool, SimError> {
-        if self.members.len() < 2 || self.in_transit > 0 || self.draining_jobs > 0 {
-            return Ok(false);
-        }
-        if self.members.iter().any(|m| !m.available) {
-            return Ok(false);
-        }
-        let mut barrier = f64::INFINITY;
-        if let Some(p) = &self.pending {
-            barrier = barrier.min(p.job.arrival);
-        }
-        if let Some(inj) = self.faults.injections().get(self.next_fault) {
-            barrier = barrier.min(inj.time);
-        }
-        for m in &self.members {
-            barrier = barrier.min(m.next_carbon_change);
-        }
-        if let Some(stop) = stop_at {
-            barrier = barrier.min(stop);
-        }
-        barrier = barrier.min(self.max_sim_time);
-        // Progress guard: at least one queue event strictly inside the
-        // window.  Events never predate the clock, so this also implies
-        // the barrier lies strictly ahead of `self.time`.
-        match self.events.peek_time() {
-            Some(t) if t < barrier => {}
-            _ => return Ok(false),
-        }
-        let n = self.members.len();
-        let mut buckets: Vec<Vec<(f64, Event)>> = vec![Vec::new(); n];
-        while let Some(t) = self.events.peek_time() {
-            if t >= barrier {
-                break;
-            }
-            let (t, event) = self.events.pop().expect("peeked time implies non-empty");
-            debug_assert!(
-                !matches!(event, Event::MigrationArrival { .. } | Event::FlowArrival { .. }),
-                "no migration or flow arrivals are queued while in_transit == 0"
-            );
-            buckets[event.member()].push((t, event));
-        }
-        let start = self.time;
-        let jobs = &self.jobs;
-        let jobs_seen = self.jobs_seen;
-        // Worker count 1 runs the exact same windowed algorithm inline —
-        // worker-count invariance holds because the per-member computation
-        // and the member-index merge order below are both layout-blind.
-        let outcomes: Vec<Result<WindowOutcome, SimError>> = if workers <= 1 {
-            self.members
-                .iter_mut()
-                .zip(schedulers.iter_mut())
-                .zip(buckets.iter_mut())
-                .enumerate()
-                .map(|(i, ((m, s), b))| {
-                    member_window(
-                        m,
-                        i,
-                        start,
-                        barrier,
-                        std::mem::take(b),
-                        jobs,
-                        jobs_seen,
-                        &mut **s,
-                    )
-                })
-                .collect()
-        } else {
-            let chunk = n.div_ceil(workers);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                let mut base = 0usize;
-                for ((ms, ss), bs) in self
-                    .members
-                    .chunks_mut(chunk)
-                    .zip(schedulers.chunks_mut(chunk))
-                    .zip(buckets.chunks_mut(chunk))
-                {
-                    let first = base;
-                    base += ms.len();
-                    handles.push(scope.spawn(move || {
-                        ms.iter_mut()
-                            .zip(ss.iter_mut())
-                            .zip(bs.iter_mut())
-                            .enumerate()
-                            .map(|(k, ((m, s), b))| {
-                                member_window(
-                                    m,
-                                    first + k,
-                                    start,
-                                    barrier,
-                                    std::mem::take(b),
-                                    jobs,
-                                    jobs_seen,
-                                    &mut **s,
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("window worker threads do not panic"))
-                    .collect()
-            })
-        };
-        // Merge at the barrier in member-index order, whatever the worker
-        // layout: completions settle in the global table in index order,
-        // leftover events re-enter the shared queue in index order (fresh
-        // sequence numbers; within-member relative order is preserved
-        // because each leftover list drained from a deterministic local
-        // queue), and the first error by member index wins.
-        let mut first_err: Option<SimError> = None;
-        let mut end = start;
-        for outcome in outcomes {
-            match outcome {
-                Ok(o) => {
-                    end = end.max(o.end_time);
-                    for job in o.completions {
-                        self.jobs
-                            .get_mut(job.index())
-                            .expect("a completing job is resident")
-                            .completed = true;
-                        self.completed_jobs += 1;
-                    }
-                    for (t, event) in o.leftovers {
-                        self.events.push(t, event);
-                    }
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        self.time = end;
-        Ok(true)
     }
 
     /// Drains the engine's recorded state into a [`FederationResult`].
@@ -2020,10 +1651,9 @@ impl<'a> Engine<'a> {
     /// a scheduling pass.  (Workload arrivals are not queue events — see
     /// [`Engine::admit_arrival`].)
     fn handle_event(&mut self, event: Event) -> Result<Option<(usize, EventSeed)>, SimError> {
-        // Migration arrivals re-register state across members and touch the
-        // global job table, so they stay engine-level; every other variant
-        // is member-scoped and shared with the windowed path through
-        // `member_handle_event`.
+        // Migration and flow arrivals re-register state across members and
+        // touch the global job table, so they stay engine-level; every other
+        // variant is member-scoped and goes through `member_handle_event`.
         if let Event::MigrationArrival { member: target, job } = event {
             self.register_migration_arrival(target, job);
             return Ok(Some((target, EventSeed::JobArrived(job))));
@@ -2145,7 +1775,6 @@ impl<'a> Engine<'a> {
             .in_transit
             .take()
             .expect("migration arrival for a job that is not in transit");
-        self.in_transit -= 1;
         let remaining = state.progress.remaining_work(&state.dag);
         let member = &mut self.members[target];
         // The destination table stays ordered by arrival *at this
@@ -2386,7 +2015,6 @@ impl<'a> Engine<'a> {
             slot.routed = Some(to as u32);
             slot.migrated = true;
             slot.in_transit = Some(state);
-            self.in_transit += 1;
             self.migrations.push(MigrationRecord {
                 job,
                 from: src,
@@ -2430,7 +2058,6 @@ impl<'a> Engine<'a> {
         slot.routed = Some(to as u32);
         slot.migrated = true;
         slot.in_transit = Some(state);
-        self.in_transit += 1;
         self.events.push(arrived, Event::MigrationArrival { member: to, job });
         self.migrations.push(MigrationRecord {
             job,
@@ -2716,7 +2343,6 @@ impl<'a> Engine<'a> {
             self.time,
             self.jobs_seen,
             &self.jobs,
-            &[],
             &mut self.events,
             scheduler,
             &mut sink,
@@ -2853,6 +2479,7 @@ impl<'a> Engine<'a> {
     /// content.  A session that has already pulled past the snapshot cannot
     /// rewind its source and is rejected.
     pub(crate) fn restore(&mut self, snap: &EngineSnapshot) -> Result<(), SimError> {
+        self.validate_configs()?;
         if snap.members.len() != self.members.len() {
             return Err(SimError::SnapshotMismatch {
                 reason: format!(
@@ -2891,9 +2518,6 @@ impl<'a> Engine<'a> {
         self.events = snap.events.clone();
         self.pending = snap.pending.clone().map(|(id, job)| PendingArrival { id, job });
         self.jobs = snap.jobs.clone();
-        // The in-flight count is derived state — recompute it from the
-        // restored table rather than trusting a separately serialized copy.
-        self.in_transit = self.jobs.slots.iter().filter(|s| s.in_transit.is_some()).count();
         self.migrations = snap.migrations.clone();
         self.flows = snap.flows.clone();
         for (m, s) in self.members.iter_mut().zip(&snap.members) {
@@ -2920,8 +2544,8 @@ impl<'a> Engine<'a> {
             m.retries = s.retries;
             m.fault_log = s.fault_log.clone();
         }
-        // Like `in_transit`, the drain count is derived state — recompute it
-        // from the restored active tables (the flags travel with the jobs).
+        // The drain count is derived state — recompute it from the restored
+        // active tables (the flags travel with the jobs).
         self.draining_jobs = self
             .members
             .iter()
@@ -3157,6 +2781,62 @@ mod tests {
     }
 
     #[test]
+    fn invalid_member_config_is_an_error_not_a_panic_or_a_hang() {
+        let jobs = || {
+            (0..3)
+                .map(|i| SubmittedJob::at(i as f64, chain_job("j", 2, 2, 1.0)))
+                .collect()
+        };
+        // The public fields bypass the builder asserts.  Unchecked, a NaN
+        // move delay panics in the event queue, a NaN time scale runs to
+        // `Ok`, and the zero counts idle until the time limit.
+        let cases: [(&str, fn(&mut ClusterConfig)); 4] = [
+            ("executor_move_delay = NaN", |c| c.executor_move_delay = f64::NAN),
+            ("time_scale = NaN", |c| c.time_scale = f64::NAN),
+            ("num_executors = 0", |c| c.num_executors = 0),
+            ("per_job_executor_cap = Some(0)", |c| c.per_job_executor_cap = Some(0)),
+        ];
+        for (field, corrupt) in cases {
+            let mut config = ClusterConfig::new(2).with_max_sim_time(1.0e5);
+            corrupt(&mut config);
+            let sim = Simulator::new(config.clone(), jobs(), flat_trace());
+            match sim.run(&mut SimpleFifo::new()) {
+                Err(e @ SimError::InvalidConfig { member: 0, .. }) => {
+                    assert!(e.to_string().contains(field), "{field}: {e}")
+                }
+                other => panic!("{field}: expected InvalidConfig, got {other:?}"),
+            }
+            // The member index names the offending member of a federation.
+            let fed = Federation::new(
+                vec![
+                    Member::new("A", ClusterConfig::new(2), flat_trace()),
+                    Member::new("B", config, flat_trace()),
+                ],
+                jobs(),
+            );
+            let mut router = StaticRouter::new(0);
+            let (mut s0, mut s1) = (SimpleFifo::new(), SimpleFifo::new());
+            let mut schedulers: [&mut dyn Scheduler; 2] = [&mut s0, &mut s1];
+            match fed.run(&mut router, &mut schedulers) {
+                Err(SimError::InvalidConfig { member: 1, reason }) => {
+                    assert!(reason.starts_with(field), "{field}: {reason}")
+                }
+                other => panic!("{field}: expected InvalidConfig on member 1, got {other:?}"),
+            }
+            // Restoring a snapshot primes an engine without a preflight, so
+            // it checks the configs too.
+            let valid = Simulator::new(ClusterConfig::new(2), jobs(), flat_trace());
+            let mut src = crate::source::MaterializedJobs::new(jobs()).unwrap();
+            let snap = valid.federation().serve(&mut src).unwrap().snapshot();
+            let mut src = crate::source::MaterializedJobs::new(jobs()).unwrap();
+            match sim.federation().serve(&mut src).unwrap().restore(&snap) {
+                Err(SimError::InvalidConfig { member: 0, .. }) => {}
+                other => panic!("{field}: expected InvalidConfig on restore, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn records_capture_executor_seconds() {
         let job = chain_job("j", 2, 3, 4.0);
         let config = ClusterConfig::new(3).with_move_delay(0.0).with_time_scale(1.0);
@@ -3353,7 +3033,6 @@ mod tests {
             engine.time,
             engine.jobs_seen,
             &engine.jobs,
-            &[],
             &mut engine.events,
             &[Assignment::new(JobId(0), StageId(0), 1)],
         )

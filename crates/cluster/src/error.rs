@@ -106,6 +106,16 @@ pub enum SimError {
         /// Explanation of what was wrong.
         reason: String,
     },
+    /// A member's [`ClusterConfig`](crate::config::ClusterConfig) breaks a
+    /// condition its builder methods assert — possible because the fields
+    /// are public.  Reported on the first `run_*` call, before any
+    /// simulation state exists.
+    InvalidConfig {
+        /// Index of the member whose config is invalid.
+        member: usize,
+        /// The violated condition, naming the field and its value.
+        reason: String,
+    },
     /// A serve-session snapshot cannot be installed: the engine shape or
     /// source position does not line up with what the snapshot captured
     /// (different member count, a source that drained before reaching the
@@ -165,6 +175,9 @@ impl fmt::Display for SimError {
             }
             SimError::InvalidTopology { reason } => {
                 write!(f, "transfer topology is invalid for this federation: {reason}")
+            }
+            SimError::InvalidConfig { member, reason } => {
+                write!(f, "cluster config of member {member} is invalid: {reason}")
             }
             SimError::SnapshotMismatch { reason } => {
                 write!(f, "snapshot cannot be restored into this session: {reason}")

@@ -89,8 +89,8 @@ pub enum Event {
 
 impl Event {
     /// The member cluster this event belongs to.  Every event variant is
-    /// member-scoped — this is what lets the parallel execution mode bucket
-    /// a drained window's events per member without inspecting payloads.
+    /// member-scoped, so the engine can route an event without inspecting
+    /// its payload.
     pub fn member(&self) -> usize {
         match *self {
             Event::TaskFinish { member, .. }

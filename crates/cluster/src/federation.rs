@@ -111,10 +111,6 @@ pub struct Federation {
     /// How crashed tasks are retried.  Irrelevant (never consulted) under an
     /// empty fault schedule.
     retry: RetryPolicy,
-    /// How runs advance the event loop.  Defaults to
-    /// [`ExecutionMode::Sequential`], which is bit-identical to the
-    /// pre-batching engine.
-    execution: ExecutionMode,
 }
 
 impl Federation {
@@ -143,7 +139,6 @@ impl Federation {
             invalid,
             faults: FaultSchedule::none(),
             retry: RetryPolicy::default(),
-            execution: ExecutionMode::Sequential,
         }
     }
 
@@ -282,18 +277,10 @@ impl Federation {
         self
     }
 
-    /// Selects how runs advance the event loop (see [`ExecutionMode`]).
-    /// The default, [`ExecutionMode::Sequential`], is bit-identical to the
-    /// pre-batching engine; the other modes are deterministic in their own
-    /// right (same seed + same mode ⇒ same result, any worker count).
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.execution = mode;
+    /// A no-op kept so existing callers compile: the engine has one event
+    /// loop (see [`ExecutionMode`]).
+    pub fn with_execution_mode(self, _mode: ExecutionMode) -> Self {
         self
-    }
-
-    /// The execution mode runs use (see [`Federation::with_execution_mode`]).
-    pub fn execution_mode(&self) -> ExecutionMode {
-        self.execution
     }
 
     /// The fault schedule every run replays (empty by default).
@@ -360,7 +347,6 @@ impl Federation {
             &self.faults,
             self.retry,
         );
-        engine.set_mode(self.execution);
         engine.run(router, migration, schedulers)
     }
 
@@ -416,7 +402,6 @@ impl Federation {
             &self.faults,
             self.retry,
         );
-        engine.set_mode(self.execution);
         engine.run(router, migration, schedulers)
     }
 }

@@ -140,27 +140,13 @@
 //!   [`EngineSnapshot`]s capture the full dynamic state for bit-identical
 //!   stop/restore across sessions.  New engine features must keep the
 //!   horizon check side-effect-free and the snapshot exhaustive.
-//! * **Batched + parallel execution.**  The event loop's advance strategy
-//!   is a run-scoped [`ExecutionMode`].  The default (`Sequential`) is
-//!   bit-identical to the historical engine.  `Batched` drains every queue
-//!   event sharing the head timestamp before consulting schedulers, then
-//!   invokes each touched member once per instant with a coalesced event
-//!   (equal `(job, stage)` finishes sum their `n`; heterogeneous bursts
-//!   degrade to one `Kick`) — sound because the [`SchedEvent`] stream is
-//!   advisory by contract.  `Parallel { workers }` additionally advances
-//!   members independently on scoped worker threads between cross-member
-//!   interaction points: a conservative window barrier is the earliest of
-//!   the pending arrival, the next fault injection, any member's next
-//!   carbon step, the serve horizon and the time limit, and a window opens
-//!   only while members are decoupled (no migration in flight, everyone
-//!   available).  Per-member work inside a window goes through the same
-//!   member-scoped free functions as the sequential path, local results
-//!   merge at the barrier in member-index order, and events *at* the
-//!   barrier stay queued for the unchanged sequential branches — so the
-//!   result is deterministic and identical for any worker count (pinned by
-//!   `tests/parallel.rs`), though not bit-identical to `Sequential`.
-//!   Schedulers are `Send` for this reason; new policies must keep their
-//!   state plain data.
+//! * **One event loop.**  The engine pops one event at a time (queue
+//!   event, arrival, carbon step or fault) and consults only the member it
+//!   belongs to, once, with a typed event — the discrete-event loop the
+//!   paper's simulator runs.  Member-scoped work goes through two free
+//!   functions (`member_handle_event`, `member_schedule_pass`) that touch
+//!   one member's state; cross-member effects (migration and flow arrivals,
+//!   drains, evacuations, job settlement) stay in the engine.
 //! * **Typed events, engine-managed timers.**  Policies learn *why* they run
 //!   from [`SchedEvent`] and resume from deferral through engine-scheduled
 //!   wakeups: `defer_until` enqueues a timer event at an exact instant
@@ -187,8 +173,9 @@
 //!   version — equal job id + equal version means equal observable progress,
 //!   so a cached entry is reused bit for bit and only mutated jobs are
 //!   recomputed.  Revalidation keys off engine-owned state, never off the
-//!   [`SchedEvent`] stream: events are advisory (batched mode coalesces
-//!   them, wakeups are suppressed, migrations arrive as plain `JobArrived`),
+//!   [`SchedEvent`] stream: events are advisory (wakeups are suppressed,
+//!   carbon steps during a signal dropout report no change, migrations
+//!   arrive as plain `JobArrived`),
 //!   so a policy that trusted event delivery for cache invalidation would
 //!   silently go stale.  Aggregates a policy needs every event (e.g. total
 //!   outstanding work) come from the engine's incrementally maintained

@@ -130,7 +130,6 @@ impl<'a> ServeSession<'a> {
             fed.retry_policy(),
         );
         engine.enable_compaction();
-        engine.set_mode(fed.execution_mode());
         let members = fed.members().len();
         Ok(ServeSession {
             engine,

@@ -22,7 +22,7 @@ use crate::runner::{BaseScheduler, SchedulerSpec};
 use crate::streaming::StreamSource;
 use pcaps_carbon::synth::SyntheticTraceGenerator;
 use pcaps_carbon::GridRegion;
-use pcaps_cluster::{ClusterConfig, ExecutionMode, ProfileMode, Simulator};
+use pcaps_cluster::{ClusterConfig, ProfileMode, Simulator};
 use pcaps_workloads::{WorkloadBuilder, WorkloadKind};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -90,24 +90,11 @@ impl ScaleConfig {
     }
 }
 
-/// Short CSV label of an execution mode.
-fn mode_label(mode: ExecutionMode) -> String {
-    match mode {
-        ExecutionMode::Sequential => "sequential".to_string(),
-        ExecutionMode::Batched => "batched".to_string(),
-        ExecutionMode::Parallel { workers } => format!("parallel{workers}"),
-    }
-}
-
 /// One row of the scale sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScaleRow {
     /// Scheduler label.
     pub scheduler: String,
-    /// Execution-mode label (`sequential`, `batched`, `parallelN`) — the
-    /// sweep runs sequential and batched side by side so the CSV carries
-    /// its own A/B comparison.
-    pub mode: String,
     /// Number of jobs streamed through the trial.
     pub jobs: usize,
     /// Maximum number of jobs resident in the engine at any instant
@@ -123,24 +110,9 @@ pub struct ScaleRow {
     pub avg_jct: f64,
 }
 
-/// Runs one streaming trial of `spec` with `jobs` jobs in the default
-/// (sequential) execution mode.
+/// Runs one streaming trial of `spec` with `jobs` jobs.
 pub fn run_scale_trial(config: &ScaleConfig, jobs: usize, spec: SchedulerSpec) -> ScaleRow {
-    run_scale_trial_mode(config, jobs, spec, ExecutionMode::Sequential)
-}
-
-/// Runs one streaming trial of `spec` with `jobs` jobs under the given
-/// engine execution mode.  Schedule-time results are identical across modes
-/// for the single-member simulator (batching coalesces only the advisory
-/// event stream); `wall_seconds` is what the mode changes.
-pub fn run_scale_trial_mode(
-    config: &ScaleConfig,
-    jobs: usize,
-    spec: SchedulerSpec,
-    mode: ExecutionMode,
-) -> ScaleRow {
-    let sim = Simulator::streaming(config.cluster_config(), config.trace())
-        .with_execution_mode(mode);
+    let sim = Simulator::streaming(config.cluster_config(), config.trace());
     let mut scheduler = spec.build(config.seed ^ 0x5EED, sim.carbon(), 60.0);
     let mut source = StreamSource::new(
         WorkloadBuilder::new(WorkloadKind::Alibaba, config.seed)
@@ -163,7 +135,6 @@ pub fn run_scale_trial_mode(
         .unwrap_or(0);
     ScaleRow {
         scheduler: spec.label(),
-        mode: mode_label(mode),
         jobs,
         peak_resident_jobs,
         wall_seconds,
@@ -173,17 +144,12 @@ pub fn run_scale_trial_mode(
     }
 }
 
-/// Runs the whole sweep (job counts × schedulers × {sequential, batched}),
-/// in sweep order.  Each cell runs in both execution modes back to back so
-/// the two wall-time columns of one cell come from the same machine state
-/// (an interleaved A/B, not two separate sweeps).
+/// Runs the whole sweep (job counts × schedulers), in sweep order.
 pub fn scale_sweep(config: &ScaleConfig) -> Vec<ScaleRow> {
     let mut rows = Vec::new();
     for &jobs in &config.job_counts {
         for &spec in &config.schedulers {
-            for mode in [ExecutionMode::Sequential, ExecutionMode::Batched] {
-                rows.push(run_scale_trial_mode(config, jobs, spec, mode));
-            }
+            rows.push(run_scale_trial(config, jobs, spec));
         }
     }
     rows
@@ -192,14 +158,13 @@ pub fn scale_sweep(config: &ScaleConfig) -> Vec<ScaleRow> {
 /// Renders the sweep as CSV (the format of `results/alibaba_scale.csv`).
 pub fn to_csv(config: &ScaleConfig, rows: &[ScaleRow]) -> String {
     let mut out = String::from(
-        "region,scheduler,mode,jobs,peak_resident_jobs,wall_seconds,makespan_s,tasks,avg_jct_s\n",
+        "region,scheduler,jobs,peak_resident_jobs,wall_seconds,makespan_s,tasks,avg_jct_s\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "{},{},{},{},{},{:.3},{:.1},{},{:.1}\n",
+            "{},{},{},{},{:.3},{:.1},{},{:.1}\n",
             config.region.code(),
             r.scheduler,
-            r.mode,
             r.jobs,
             r.peak_resident_jobs,
             r.wall_seconds,
@@ -247,25 +212,15 @@ mod tests {
         let mut cfg = tiny_config();
         cfg.job_counts = vec![100, 200];
         let rows = scale_sweep(&cfg);
-        // 2 job counts × 1 scheduler × 2 execution modes.
-        assert_eq!(rows.len(), 4);
+        // 2 job counts × 1 scheduler.
+        assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].jobs, 100);
-        assert_eq!(rows[0].mode, "sequential");
-        assert_eq!(rows[1].jobs, 100);
-        assert_eq!(rows[1].mode, "batched");
-        assert_eq!(rows[2].jobs, 200);
-        assert_eq!(rows[3].jobs, 200);
-        // The modes are an A/B over execution strategy only: schedule-time
-        // results of paired rows must agree exactly.
-        assert_eq!(rows[0].makespan, rows[1].makespan);
-        assert_eq!(rows[0].tasks_dispatched, rows[1].tasks_dispatched);
-        assert_eq!(rows[2].makespan, rows[3].makespan);
+        assert_eq!(rows[1].jobs, 200);
         let csv = to_csv(&cfg, &rows);
         let header = csv.lines().next().unwrap();
         assert!(header.contains("peak_resident_jobs"));
         assert!(header.contains("wall_seconds"));
-        assert!(header.contains("mode"));
-        assert_eq!(csv.lines().count(), 5);
+        assert_eq!(csv.lines().count(), 3);
     }
 
     #[test]
